@@ -439,3 +439,50 @@ func BenchmarkIngest(b *testing.B) {
 		})
 	}
 }
+
+// probeSink keeps the benchmarked probe's result alive.
+var probeSink int
+
+// benchStoreProbe times the store seam of the paper's headline cell: the one
+// trace probe and the one value fetch a cached-plan focused INDEXPROJ query
+// on the testbed issues (Q(LISTGEN_1, size, []) and its value), through the
+// given reader over a warm memory store.
+func benchStoreProbe(b *testing.B, open func(*store.Store) (store.LineageQuerier, func())) {
+	env, err := bench.PopulateTestbed(75, 50, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer env.Close()
+	q, done := open(env.Store)
+	defer done()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run := env.RunIDs[i%len(env.RunIDs)]
+		bs, err := q.InputBindings(run, gen.ListGenName, "size", value.Index{})
+		if err != nil || len(bs) != 1 {
+			b.Fatalf("probe: %d bindings, err %v", len(bs), err)
+		}
+		v, err := q.Value(run, bs[0].ValID)
+		if err != nil {
+			b.Fatal(err)
+		}
+		probeSink += len(bs) + v.Depth()
+	}
+}
+
+// BenchmarkStoreProbeLive probes the live store (latest committed version).
+func BenchmarkStoreProbeLive(b *testing.B) {
+	benchStoreProbe(b, func(s *store.Store) (store.LineageQuerier, func()) { return s, func() {} })
+}
+
+// BenchmarkStoreProbeView probes through one pinned View.
+func BenchmarkStoreProbeView(b *testing.B) {
+	benchStoreProbe(b, func(s *store.Store) (store.LineageQuerier, func()) {
+		v, err := s.View()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return v, func() { v.Close() }
+	})
+}

@@ -1,7 +1,6 @@
 package reldb
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -153,7 +152,7 @@ func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {
 		}
 		seen[c.Name] = true
 	}
-	t := &Table{Name: name, Schema: append(Schema(nil), schema...)}
+	t := newTable(name, schema)
 	db.tables[name] = t
 	if err := db.logCreateTable(name, t.Schema); err != nil {
 		delete(db.tables, name)
@@ -281,52 +280,6 @@ func (db *DB) insertBatchMode(tableName string, rows []Row, owned bool) error {
 	return nil
 }
 
-// PredOp is the comparison operator of a predicate.
-type PredOp uint8
-
-const (
-	// OpEq matches rows whose column equals the value.
-	OpEq PredOp = iota
-	// OpPrefix matches string rows whose column starts with the value
-	// (SQL: col LIKE 'prefix%'). Prefix predicates are index-accelerated
-	// when the column directly follows the equality columns in an index.
-	OpPrefix
-	// OpLt, OpLe, OpGt, OpGe are range comparisons against non-NULL values
-	// of the column's type. A single range-bounded column directly following
-	// the equality columns in an index turns into a bounded index scan.
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-)
-
-// Pred is a predicate on a named column.
-type Pred struct {
-	Col string
-	Val Datum
-	Op  PredOp
-}
-
-// Eq builds an equality predicate.
-func Eq(col string, val Datum) Pred { return Pred{Col: col, Val: val, Op: OpEq} }
-
-// Prefix builds a string-prefix predicate.
-func Prefix(col string, prefix string) Pred {
-	return Pred{Col: col, Val: S(prefix), Op: OpPrefix}
-}
-
-// Lt builds a "column < value" predicate.
-func Lt(col string, val Datum) Pred { return Pred{Col: col, Val: val, Op: OpLt} }
-
-// Le builds a "column <= value" predicate.
-func Le(col string, val Datum) Pred { return Pred{Col: col, Val: val, Op: OpLe} }
-
-// Gt builds a "column > value" predicate.
-func Gt(col string, val Datum) Pred { return Pred{Col: col, Val: val, Op: OpGt} }
-
-// Ge builds a "column >= value" predicate.
-func Ge(col string, val Datum) Pred { return Pred{Col: col, Val: val, Op: OpGe} }
-
 // Select returns the rows of a table matching every equality predicate. It
 // uses the index covering the longest prefix of the predicate columns when
 // one exists, falling back to a heap scan. Rows are returned in index order
@@ -335,33 +288,13 @@ func Ge(col string, val Datum) Pred { return Pred{Col: col, Val: val, Op: OpGe} 
 // Select reads the last published version lock-free: it never blocks on —
 // and is never blocked by — concurrent ingest or checkpoints.
 func (db *DB) Select(tableName string, preds []Pred, limit int) ([]Row, error) {
-	v := db.version.Load()
-	t, ok := v.tables[tableName]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoTable, tableName)
-	}
-	var out []Row
-	err := db.scanTable(t, preds, func(_ int64, row Row) bool {
-		out = append(out, row.Clone())
-		return limit < 0 || len(out) < limit
-	})
-	return out, err
+	return db.selectIn(db.version.Load(), tableName, preds, limit)
 }
 
 // Count returns the number of rows matching the predicates, lock-free
 // against the last published version.
 func (db *DB) Count(tableName string, preds []Pred) (int, error) {
-	v := db.version.Load()
-	t, ok := v.tables[tableName]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoTable, tableName)
-	}
-	n := 0
-	err := db.scanTable(t, preds, func(int64, Row) bool {
-		n++
-		return true
-	})
-	return n, err
+	return db.countIn(db.version.Load(), tableName, preds)
 }
 
 // Delete removes every row matching the predicates, returning the count.
@@ -392,202 +325,6 @@ func (db *DB) Delete(tableName string, preds []Pred) (int, error) {
 	}
 	db.commitLocked(tableName)
 	return len(rids), nil
-}
-
-// scanTable runs the planned scan over a table the caller may safely read:
-// either a frozen table out of a published version (no lock needed) or the
-// live table under the write lock (Delete's collection phase).
-func (db *DB) scanTable(t *Table, preds []Pred, fn func(rid int64, row Row) bool) error {
-	cols := make([]int, len(preds))
-	eqCols := make(map[int]bool, len(preds))
-	prefixCols := make(map[int]string, 1)
-	rangeCols := make(map[int][]Pred, 1)
-	for i, p := range preds {
-		pos, ok := t.Schema.ColIndex(p.Col)
-		if !ok {
-			return fmt.Errorf("reldb: table %q has no column %q", t.Name, p.Col)
-		}
-		cols[i] = pos
-		switch p.Op {
-		case OpEq:
-			if !p.Val.IsNull() && p.Val.Type() != t.Schema[pos].Type {
-				return fmt.Errorf("reldb: table %q: predicate on %q expects %v, got %v",
-					t.Name, p.Col, t.Schema[pos].Type, p.Val.Type())
-			}
-			eqCols[pos] = true
-		case OpPrefix:
-			if t.Schema[pos].Type != TString || p.Val.Type() != TString {
-				return fmt.Errorf("reldb: table %q: prefix predicate on %q requires TEXT", t.Name, p.Col)
-			}
-			prefixCols[pos] = p.Val.Str()
-		case OpLt, OpLe, OpGt, OpGe:
-			if p.Val.IsNull() || p.Val.Type() != t.Schema[pos].Type {
-				return fmt.Errorf("reldb: table %q: range predicate on %q requires a non-NULL %v",
-					t.Name, p.Col, t.Schema[pos].Type)
-			}
-			rangeCols[pos] = append(rangeCols[pos], p)
-		default:
-			return fmt.Errorf("reldb: unknown predicate op %d", p.Op)
-		}
-	}
-
-	matches := func(row Row) bool {
-		for i, p := range preds {
-			d := row[cols[i]]
-			switch p.Op {
-			case OpEq:
-				if !d.Equal(p.Val) {
-					return false
-				}
-			case OpPrefix:
-				if d.Type() != TString || len(d.Str()) < len(p.Val.Str()) || d.Str()[:len(p.Val.Str())] != p.Val.Str() {
-					return false
-				}
-			case OpLt, OpLe, OpGt, OpGe:
-				if d.IsNull() || d.Type() != p.Val.Type() {
-					return false
-				}
-				c := d.Compare(p.Val)
-				switch p.Op {
-				case OpLt:
-					if c >= 0 {
-						return false
-					}
-				case OpLe:
-					if c > 0 {
-						return false
-					}
-				case OpGt:
-					if c <= 0 {
-						return false
-					}
-				case OpGe:
-					if c < 0 {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-
-	// Plan: choose the index covering the longest run of equality columns,
-	// counting a prefix or range predicate on the following index column as
-	// half a column of selectivity. Indexes quarantined by an integrity
-	// check (see VerifyIndexes) are bypassed — queries degrade to a heap
-	// scan rather than returning rows from a structure known to be wrong.
-	var ix *Index
-	covered, bestScore := 0, 0
-	for _, cand := range t.indexes {
-		if cand.damaged {
-			continue
-		}
-		n := 0
-		for _, c := range cand.Cols {
-			if !eqCols[c] {
-				break
-			}
-			n++
-		}
-		score := 2 * n
-		if n < len(cand.Cols) {
-			if _, ok := prefixCols[cand.Cols[n]]; ok {
-				score++
-			} else if _, ok := rangeCols[cand.Cols[n]]; ok {
-				score++
-			}
-		}
-		if score > bestScore {
-			ix, covered, bestScore = cand, n, score
-		}
-	}
-	if ix != nil && bestScore > 0 {
-		db.statIndexScans.Add(1)
-		obsIndexScans.Add(1)
-		// Build the scan bounds: the covered equality columns form the base
-		// prefix; a prefix predicate on the next index column extends it
-		// with the partial (unterminated) string encoding; range predicates
-		// tighten one or both bounds.
-		base := make([]byte, 0, 16*(covered+1))
-		for i := 0; i < covered; i++ {
-			for j, c := range cols {
-				if c == ix.Cols[i] && preds[j].Op == OpEq {
-					base = encodeDatum(base, preds[j].Val)
-					break
-				}
-			}
-		}
-		from, to := base, PrefixSuccessor(base)
-		if covered < len(ix.Cols) {
-			next := ix.Cols[covered]
-			if pfx, ok := prefixCols[next]; ok {
-				key := append([]byte(nil), base...)
-				key = append(key, 0x03) // string tag
-				for _, c := range []byte(pfx) {
-					if c == 0x00 {
-						key = append(key, 0x00, 0xFF)
-					} else {
-						key = append(key, c)
-					}
-				}
-				from, to = key, PrefixSuccessor(key)
-			} else if bounds, ok := rangeCols[next]; ok {
-				for _, p := range bounds {
-					bound := encodeDatum(append([]byte(nil), base...), p.Val)
-					switch p.Op {
-					case OpGe:
-						if bytes.Compare(bound, from) > 0 {
-							from = bound
-						}
-					case OpGt:
-						if succ := PrefixSuccessor(bound); succ != nil && bytes.Compare(succ, from) > 0 {
-							from = succ
-						}
-					case OpLt:
-						if to == nil || bytes.Compare(bound, to) < 0 {
-							to = bound
-						}
-					case OpLe:
-						if succ := PrefixSuccessor(bound); succ != nil && (to == nil || bytes.Compare(succ, to) < 0) {
-							to = succ
-						}
-					}
-				}
-			}
-		}
-		// The per-row tally is kept local and flushed once after the scan:
-		// one atomic add per scan instead of one per row keeps the counter
-		// off the B-tree hot path.
-		var rowsRead int64
-		ix.tree.AscendRange(from, to, func(_ []byte, rid int64) bool {
-			row, ok := t.row(rid)
-			if !ok {
-				return true
-			}
-			rowsRead++
-			if matches(row) {
-				return fn(rid, row)
-			}
-			return true
-		})
-		db.statRowsRead.Add(rowsRead)
-		obsRowsRead.Add(rowsRead)
-		return nil
-	}
-
-	db.statFullScans.Add(1)
-	obsFullScans.Add(1)
-	var rowsRead int64
-	t.scanAll(func(rid int64, row Row) bool {
-		rowsRead++
-		if matches(row) {
-			return fn(rid, row)
-		}
-		return true
-	})
-	db.statRowsRead.Add(rowsRead)
-	obsRowsRead.Add(rowsRead)
-	return nil
 }
 
 // Adopt replaces the contents of db with those of other (used to restore a

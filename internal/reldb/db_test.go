@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -554,8 +555,11 @@ func TestRangePredicates(t *testing.T) {
 	}
 }
 
-func TestScanIndexPrefixDirect(t *testing.T) {
-	// Exercise the lower-level index scan helper used by engine internals.
+// A prepared Scan walks the same path as the equivalent Select — index
+// order, early stop — against the live database and a pinned snapshot alike,
+// and re-plans when the table's layout changes under it (quarantine → heap
+// scan → rebuild → index again) without the caller doing anything.
+func TestPreparedScan(t *testing.T) {
 	db := newEventsDB(t)
 	for i := 0; i < 12; i++ {
 		run := "r0"
@@ -566,28 +570,86 @@ func TestScanIndexPrefixDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tab, _ := db.Table("events")
-	ix, ok := tab.FindIndex("ev_rpp")
-	if !ok {
-		t.Fatal("index missing")
+	sc := NewScan("events", PredShape{"run", OpEq}, PredShape{"idx", OpPrefix})
+	preds := []Pred{Eq("run", S("r1")), Prefix("idx", "[0")}
+	scan := func(r interface {
+		Scan(*Scan, []Datum, func(int64, Row) bool) error
+	}) (got []int64) {
+		t.Helper()
+		if err := r.Scan(sc, []Datum{S("r1"), S("[0")}, func(_ int64, row Row) bool {
+			got = append(got, row[4].Int())
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
-	var got []int64
-	tab.scanIndexPrefix(ix, []Datum{S("r1")}, func(_ int64, row Row) bool {
-		got = append(got, row[4].Int())
-		return true
-	})
-	if len(got) != 4 {
-		t.Fatalf("prefix scan = %v", got)
+	want, err := db.Select("events", preds, -1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1] >= got[i] {
-			t.Fatal("prefix scan out of index order")
+	check := func(what string, got []int64) {
+		t.Helper()
+		if len(got) != len(want) || len(got) != 4 {
+			t.Fatalf("%s: scan = %v, select returned %d rows", what, got, len(want))
+		}
+		for i := range got {
+			if got[i] != want[i][4].Int() {
+				t.Fatalf("%s: scan = %v, out of Select order", what, got)
+			}
 		}
 	}
+	snap := db.Snapshot()
+	check("live", scan(db))
+	if _, err := db.Insert("events", Row{S("r1"), S("p"), S("o"), S("[00]"), I(99)}); err != nil {
+		t.Fatal(err)
+	}
+	check("pinned", scan(snap))
+	snap.Release()
+	if err := snap.Scan(sc, []Datum{S("r1"), S("[0")}, nil); !errors.Is(err, ErrSnapshotReleased) {
+		t.Fatalf("scan through a released snapshot: %v", err)
+	}
+	if _, err := db.Delete("events", []Pred{Eq("val", I(99))}); err != nil {
+		t.Fatal(err)
+	}
+
 	// Early stop.
 	n := 0
-	tab.scanIndexPrefix(ix, nil, func(int64, Row) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Errorf("early stop visited %d", n)
+	if err := db.Scan(NewScan("events"), nil, func(int64, Row) bool { n++; return n < 3 }); err != nil || n != 3 {
+		t.Errorf("early stop visited %d (err %v)", n, err)
+	}
+
+	// Layout changes: the cached plan must not outlive the index it chose.
+	tab, _ := db.Table("events")
+	ix, _ := tab.FindIndex("ev_rpp")
+	row, _ := tab.row(3)
+	ix.tree.Delete(ix.entryKey(row, 3))
+	if len(db.VerifyIndexes()) != 1 {
+		t.Fatal("sabotaged index not quarantined")
+	}
+	_, fullBefore, _ := db.Stats()
+	check("quarantined", scan(db))
+	if _, full, _ := db.Stats(); full != fullBefore+1 {
+		t.Fatal("prepared scan kept using a quarantined index")
+	}
+	db.RebuildDamaged()
+	idxBefore, _, _ := db.Stats()
+	check("rebuilt", scan(db))
+	if idx, _, _ := db.Stats(); idx != idxBefore+1 {
+		t.Fatal("prepared scan did not return to the rebuilt index")
+	}
+
+	// Argument errors surface at run time, shape errors at plan time.
+	if err := db.Scan(sc, []Datum{S("r1")}, nil); err == nil {
+		t.Error("short argument list accepted")
+	}
+	if err := db.Scan(sc, []Datum{I(1), S("[0")}, nil); err == nil {
+		t.Error("mistyped argument accepted")
+	}
+	if err := db.Scan(NewScan("events", PredShape{"nope", OpEq}), []Datum{I(1)}, nil); err == nil {
+		t.Error("unknown column accepted")
+	}
+	if err := db.Scan(NewScan("missing"), nil, nil); !errors.Is(err, ErrNoTable) {
+		t.Errorf("unknown table: %v", err)
 	}
 }

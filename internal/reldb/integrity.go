@@ -43,6 +43,7 @@ func (db *DB) VerifyIndexes() []IndexProblem {
 		for _, ix := range t.indexes {
 			if desc, ok := t.checkIndex(ix); !ok {
 				ix.damaged = true
+				t.layout = new(layoutToken)
 				problems = append(problems, IndexProblem{Table: t.Name, Index: ix.Name, Desc: desc})
 			}
 		}
@@ -132,6 +133,7 @@ func (t *Table) rebuildIndex(ix *Index) {
 	fresh.bulkLoad(entries)
 	ix.tree = fresh
 	ix.damaged = false
+	t.layout = new(layoutToken)
 }
 
 // repairIndexesOnOpen runs the cheap shape check (entry count vs live rows)

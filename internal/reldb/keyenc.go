@@ -58,24 +58,25 @@ func encodeDatum(dst []byte, d Datum) []byte {
 		binary.BigEndian.PutUint64(buf[:], bits)
 		return append(dst, buf[:]...)
 	case TString:
-		dst = append(dst, 0x03)
-		return encodeEscaped(dst, []byte(d.s))
+		return append(appendEscaped(append(dst, 0x03), d.s), 0x00, 0x00)
 	case TBytes:
-		dst = append(dst, 0x04)
-		return encodeEscaped(dst, d.b)
+		return append(appendEscaped(append(dst, 0x04), d.b), 0x00, 0x00)
 	}
 	panic(fmt.Sprintf("reldb: cannot encode datum of type %v", d.t))
 }
 
-func encodeEscaped(dst, src []byte) []byte {
-	for _, c := range src {
-		if c == 0x00 {
+// appendEscaped appends src with every 0x00 escaped and no terminator: the
+// body of a string or bytes column, and on its own the partial encoding a
+// prefix scan starts from.
+func appendEscaped[T string | []byte](dst []byte, src T) []byte {
+	for i := 0; i < len(src); i++ {
+		if c := src[i]; c == 0x00 {
 			dst = append(dst, 0x00, 0xFF)
 		} else {
 			dst = append(dst, c)
 		}
 	}
-	return append(dst, 0x00, 0x00)
+	return dst
 }
 
 // DecodeKey decodes n datums from the front of key, returning them and the
@@ -156,13 +157,15 @@ func decodeEscaped(key []byte) (raw, rest []byte, err error) {
 // having the given prefix, or nil if no such string exists (the prefix is
 // all 0xFF). Index prefix scans cover the half-open range
 // [prefix, PrefixSuccessor(prefix)).
-func PrefixSuccessor(prefix []byte) []byte {
+func PrefixSuccessor(prefix []byte) []byte { return appendPrefixSuccessor(nil, prefix) }
+
+// appendPrefixSuccessor is PrefixSuccessor built into dst[:0]'s storage.
+func appendPrefixSuccessor(dst, prefix []byte) []byte {
 	for i := len(prefix) - 1; i >= 0; i-- {
 		if prefix[i] != 0xFF {
-			succ := make([]byte, i+1)
-			copy(succ, prefix[:i+1])
-			succ[i]++
-			return succ
+			dst = append(dst[:0], prefix[:i+1]...)
+			dst[i]++
+			return dst
 		}
 	}
 	return nil

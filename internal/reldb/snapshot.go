@@ -2,7 +2,6 @@ package reldb
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 )
 
@@ -51,16 +50,7 @@ func (s *Snapshot) Select(tableName string, preds []Pred, limit int) ([]Row, err
 	if s.released.Load() {
 		return nil, ErrSnapshotReleased
 	}
-	t, ok := s.v.tables[tableName]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoTable, tableName)
-	}
-	var out []Row
-	err := s.db.scanTable(t, preds, func(_ int64, row Row) bool {
-		out = append(out, row.Clone())
-		return limit < 0 || len(out) < limit
-	})
-	return out, err
+	return s.db.selectIn(s.v, tableName, preds, limit)
 }
 
 // Count is DB.Count against the pinned epoch.
@@ -68,14 +58,13 @@ func (s *Snapshot) Count(tableName string, preds []Pred) (int, error) {
 	if s.released.Load() {
 		return 0, ErrSnapshotReleased
 	}
-	t, ok := s.v.tables[tableName]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoTable, tableName)
+	return s.db.countIn(s.v, tableName, preds)
+}
+
+// Scan is DB.Scan against the pinned epoch.
+func (s *Snapshot) Scan(sc *Scan, vals []Datum, fn func(rid int64, row Row) bool) error {
+	if s.released.Load() {
+		return ErrSnapshotReleased
 	}
-	n := 0
-	err := s.db.scanTable(t, preds, func(int64, Row) bool {
-		n++
-		return true
-	})
-	return n, err
+	return s.db.scanIn(s.v, sc, vals, fn)
 }

@@ -55,15 +55,6 @@ func (ix *Index) entryKey(row Row, rid int64) []byte {
 	return append(key, buf[:]...)
 }
 
-// prefixKey builds the scan prefix for leading column values.
-func (ix *Index) prefixKey(vals []Datum) []byte {
-	key := make([]byte, 0, 16*len(vals))
-	for _, v := range vals {
-		key = encodeDatum(key, v)
-	}
-	return key
-}
-
 // Table is a heap-organized table: rows live in a slice addressed by row ID,
 // with tombstones marking deleted rows.
 type Table struct {
@@ -77,6 +68,13 @@ type Table struct {
 	// frozen length, so rows past it are invisible), but in-place
 	// tombstoning must copy the slice first.
 	rowsShared bool
+	// layout changes whenever the index set or a quarantine flag does, so
+	// prepared scans know when to re-plan (see layoutToken).
+	layout *layoutToken
+}
+
+func newTable(name string, schema Schema) *Table {
+	return &Table{Name: name, Schema: append(Schema(nil), schema...), layout: new(layoutToken)}
 }
 
 // freeze returns an immutable copy of the table sharing its storage: the
@@ -98,6 +96,7 @@ func (t *Table) freeze() *Table {
 		live:       t.live,
 		indexes:    idx,
 		rowsShared: true,
+		layout:     t.layout,
 	}
 }
 
@@ -219,6 +218,7 @@ func (t *Table) removeIndex(name string) {
 	for i, ix := range t.indexes {
 		if ix.Name == name {
 			t.indexes = append(t.indexes[:i], t.indexes[i+1:]...)
+			t.layout = new(layoutToken)
 			return
 		}
 	}
@@ -264,19 +264,6 @@ func (t *Table) scanAll(fn func(rid int64, row Row) bool) {
 	}
 }
 
-// scanIndexPrefix visits, in index order, every live row whose leading
-// indexed columns equal vals (vals may cover a prefix of the index columns).
-func (t *Table) scanIndexPrefix(ix *Index, vals []Datum, fn func(rid int64, row Row) bool) {
-	prefix := ix.prefixKey(vals)
-	ix.tree.AscendRange(prefix, PrefixSuccessor(prefix), func(_ []byte, rid int64) bool {
-		row, ok := t.row(rid)
-		if !ok {
-			return true // tombstoned between index and heap: skip
-		}
-		return fn(rid, row)
-	})
-}
-
 // buildIndex creates and backfills an index over the named columns. The
 // backfill is a sorted bulk load: entry keys for every live row are built,
 // sorted once, and assembled into a B-tree bottom-up — O(n log n) with a
@@ -305,5 +292,6 @@ func (t *Table) buildIndex(name string, cols []string) (*Index, error) {
 	ix.tree.bulkLoad(entries)
 	t.indexes = append(t.indexes, ix)
 	sort.Slice(t.indexes, func(i, j int) bool { return t.indexes[i].Name < t.indexes[j].Name })
+	t.layout = new(layoutToken)
 	return ix, nil
 }

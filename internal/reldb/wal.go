@@ -433,7 +433,7 @@ func (db *DB) createTableLockedFree(name string, schema Schema) (*Table, error) 
 	if _, ok := db.tables[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrTableExists, name)
 	}
-	t := &Table{Name: name, Schema: append(Schema(nil), schema...)}
+	t := newTable(name, schema)
 	db.tables[name] = t
 	return t, nil
 }

@@ -88,6 +88,16 @@ func chaosPolicy() resilience.Policy {
 	}
 }
 
+// chaosRunning reports whether the fault schedule is still playing.
+func chaosRunning(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return false
+	default:
+		return true
+	}
+}
+
 // TestChaosReplicaFailover kills and stalls single replicas — at most one
 // victim at any moment, so every shard always keeps a live replica — while
 // concurrent multi-run queries execute. Every query must succeed and match
@@ -167,11 +177,12 @@ func TestChaosReplicaFailover(t *testing.T) {
 				settleDelay: rng.Intn(3),
 			})
 		}
-		stop := make(chan struct{})
+		stop, faultsDone := make(chan struct{}), make(chan struct{})
 		var chaosWG sync.WaitGroup
 		chaosWG.Add(1)
 		go func() {
 			defer chaosWG.Done()
+			defer close(faultsDone)
 			for _, f := range faults {
 				select {
 				case <-stop:
@@ -203,7 +214,11 @@ func TestChaosReplicaFailover(t *testing.T) {
 			}
 			go func(q int, opt lineage.MultiRunOptions) {
 				defer qWG.Done()
-				for i := 0; i < 5; i++ {
+				// At least five queries, and keep querying until the whole fault
+				// schedule has played: queries that finish before the first fault
+				// lands exercise nothing (and the sweep's failover check below
+				// would depend on how fast a probe happens to be).
+				for i := 0; i < 5 || chaosRunning(faultsDone); i++ {
 					got, err := ip.LineageMultiRunParallel(context.Background(), runIDs,
 						gen.FinalName, "product", idx, focus, opt)
 					if err != nil {

@@ -1,10 +1,10 @@
 package store
 
 import (
-	"database/sql"
 	"fmt"
 
 	"repro/internal/obs"
+	"repro/internal/reldb"
 	"repro/internal/value"
 )
 
@@ -54,10 +54,10 @@ type ValueRef struct {
 // not requested are filtered out, so the answer is exactly the union of the
 // per-run InputBindings answers.
 func (s *Store) InputBindingsBatch(runIDs []string, proc, port string, idx value.Index) (map[string][]Binding, error) {
-	return s.inputBindingsBatchOn(s, runIDs, proc, port, idx)
+	return s.inputBindingsBatchOn(s.engine(), runIDs, proc, port, idx)
 }
 
-func (s *Store) inputBindingsBatchOn(r runner, runIDs []string, proc, port string, idx value.Index) (map[string][]Binding, error) {
+func (s *Store) inputBindingsBatchOn(r reader, runIDs []string, proc, port string, idx value.Index) (map[string][]Binding, error) {
 	out := make(map[string][]Binding, len(runIDs))
 	if len(runIDs) == 0 {
 		return out, nil
@@ -83,12 +83,7 @@ func (s *Store) inputBindingsBatchOn(r runner, runIDs []string, proc, port strin
 	if err != nil {
 		return nil, err
 	}
-	countQuery(1)
-	rows, err := r.stmt(s.qInsBatchPrefix).Query(proc, port, key+"%")
-	if err != nil {
-		return nil, err
-	}
-	if err := s.scanInsByRun(rows, proc, port, want, out); err != nil {
+	if err := s.insByRun(r, s.scans.insBatchPrefix, proc, port, key, want, out); err != nil {
 		return nil, err
 	}
 
@@ -102,13 +97,8 @@ func (s *Store) inputBindingsBatchOn(r runner, runIDs []string, proc, port strin
 		}
 	}
 	for n := len(idx) - 1; n >= 0 && len(empty) > 0; n-- {
-		countQuery(1)
-		rows, err := r.stmt(s.qInsBatchExact).Query(proc, port, MustIdxKey(idx.Truncate(n)))
-		if err != nil {
-			return nil, err
-		}
 		level := make(map[string][]Binding)
-		if err := s.scanInsByRun(rows, proc, port, empty, level); err != nil {
+		if err := s.insByRun(r, s.scans.insBatchExact, proc, port, MustIdxKey(idx.Truncate(n)), empty, level); err != nil {
 			return nil, err
 		}
 		for r, bs := range level {
@@ -121,34 +111,20 @@ func (s *Store) inputBindingsBatchOn(r runner, runIDs []string, proc, port strin
 	return out, nil
 }
 
-// scanInsByRun drains a (run_id, idx, ctx, val_id) row set into dst, keeping
-// only rows whose run is in want.
-func (s *Store) scanInsByRun(rows rowScanner, proc, port string, want map[string]bool, dst map[string][]Binding) error {
-	defer rows.Close()
-	for rows.Next() {
-		var runID, key string
-		var ctx, valID int64
-		if err := rows.Scan(&runID, &key, &ctx, &valID); err != nil {
-			return err
-		}
+// insByRun issues one batched probe — a scan of xin_ppi by (proc, port, key),
+// across runs — into dst, keeping only rows whose run is in want.
+func (s *Store) insByRun(r reader, sc *reldb.Scan, proc, port, key string, want map[string]bool, dst map[string][]Binding) error {
+	countQuery(1)
+	vals := [3]reldb.Datum{reldb.S(proc), reldb.S(port), reldb.S(key)}
+	return r.scan(sc, vals[:], func(row reldb.Row) error {
+		runID := row[inRun].Str()
 		if !want[runID] {
-			continue
+			return nil
 		}
-		idx, err := ParseIdxKey(key)
-		if err != nil {
-			return err
-		}
-		dst[runID] = append(dst[runID], Binding{RunID: runID, Proc: proc, Port: port, Index: idx, Ctx: int(ctx), ValID: valID})
-	}
-	return rows.Err()
-}
-
-// rowScanner is the subset of *sql.Rows the scan helpers need.
-type rowScanner interface {
-	Next() bool
-	Scan(dest ...any) error
-	Close() error
-	Err() error
+		b, err := rowBinding(runID, proc, port, row[inIdx], row[inCtx], row[inVal])
+		dst[runID] = append(dst[runID], b)
+		return err
+	})
 }
 
 // valsRangeOverscan bounds how sparse a [min, max] val_id window may be
@@ -168,10 +144,13 @@ const valsCrossRunOverscan = 24
 // enough, falling back to point lookups for sparse or singleton sets.
 // Missing values are reported as an error, matching Value.
 func (s *Store) ValuesBatch(refs []ValueRef) (map[ValueRef]value.Value, error) {
-	return s.valuesBatchOn(s, refs)
+	return s.valuesBatchOn(s.engine(), s.runsEstimate, refs)
 }
 
-func (s *Store) valuesBatchOn(r runner, refs []ValueRef) (map[ValueRef]value.Value, error) {
+// valuesBatchOn is ValuesBatch against one reader; runs reports how many runs
+// that reader sees (it sizes the cross-run scan), so a pinned View never
+// consults the live store.
+func (s *Store) valuesBatchOn(r reader, runs func() int64, refs []ValueRef) (map[ValueRef]value.Value, error) {
 	out := make(map[ValueRef]value.Value, len(refs))
 	byRun := make(map[string][]int64)
 	for _, ref := range refs {
@@ -217,35 +196,21 @@ func (s *Store) valuesBatchOn(r runner, refs []ValueRef) (map[ValueRef]value.Val
 			}
 		}
 		span := maxID - minID + 1
-		if s.runsEstimate()*span <= int64(valsCrossRunOverscan*len(out)+64) {
+		if runs()*span <= int64(valsCrossRunOverscan*len(out)+64) {
 			countQuery(1)
-			rows, err := r.stmt(s.qValsRangeAll).Query(minID, maxID)
-			if err != nil {
-				return nil, err
-			}
 			got := 0
-			for rows.Next() {
-				var runID string
-				var id int64
-				var payload string
-				if err := rows.Scan(&runID, &id, &payload); err != nil {
-					rows.Close()
-					return nil, err
-				}
-				ref := ValueRef{RunID: runID, ValID: id}
+			vals := [2]reldb.Datum{reldb.I(minID), reldb.I(maxID)}
+			err := r.scan(s.scans.valsRangeAll, vals[:], func(row reldb.Row) error {
+				ref := ValueRef{RunID: row[valsRun].Str(), ValID: row[valsID].Int()}
 				if _, requested := out[ref]; !requested {
-					continue
+					return nil
 				}
-				v, err := dec(payload)
-				if err != nil {
-					rows.Close()
-					return nil, err
-				}
+				v, err := dec(row[valsPayload].Str())
 				out[ref] = v
 				got++
-			}
-			rows.Close()
-			if err := rows.Err(); err != nil {
+				return err
+			})
+			if err != nil {
 				return nil, err
 			}
 			if got != len(out) {
@@ -270,12 +235,7 @@ func (s *Store) valuesBatchOn(r runner, refs []ValueRef) (map[ValueRef]value.Val
 		span := maxID - minID + 1
 		if len(wanted) == 1 || span > int64(valsRangeOverscan*len(wanted)+16) {
 			for id := range wanted {
-				countQuery(1)
-				var payload string
-				err := r.stmt(s.qValue).QueryRow(runID, id).Scan(&payload)
-				if err == sql.ErrNoRows {
-					return nil, fmt.Errorf("store: no value %d in run %q", id, runID)
-				}
+				payload, err := s.payloadOn(r, runID, id)
 				if err != nil {
 					return nil, err
 				}
@@ -288,31 +248,19 @@ func (s *Store) valuesBatchOn(r runner, refs []ValueRef) (map[ValueRef]value.Val
 			continue
 		}
 		countQuery(1)
-		rows, err := r.stmt(s.qValsRange).Query(runID, minID, maxID)
-		if err != nil {
-			return nil, err
-		}
 		got := 0
-		for rows.Next() {
-			var id int64
-			var payload string
-			if err := rows.Scan(&id, &payload); err != nil {
-				rows.Close()
-				return nil, err
-			}
+		vals := [3]reldb.Datum{reldb.S(runID), reldb.I(minID), reldb.I(maxID)}
+		err := r.scan(s.scans.valsRange, vals[:], func(row reldb.Row) error {
+			id := row[valsID].Int()
 			if !wanted[id] {
-				continue
+				return nil
 			}
-			v, err := dec(payload)
-			if err != nil {
-				rows.Close()
-				return nil, err
-			}
+			v, err := dec(row[valsPayload].Str())
 			out[ValueRef{RunID: runID, ValID: id}] = v
 			got++
-		}
-		rows.Close()
-		if err := rows.Err(); err != nil {
+			return err
+		})
+		if err != nil {
 			return nil, err
 		}
 		if got != len(wanted) {

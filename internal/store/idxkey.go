@@ -1,8 +1,10 @@
 // Package store implements the relational provenance store of the paper
-// (§2.3, §4): xform and xfer events are persisted through database/sql
-// (backed by the sqlike driver) in indexed tables keyed by
+// (§2.3, §4): xform and xfer events are persisted in indexed tables keyed by
 // (run, processor, port, index), so that both the naïve traversal and the
 // INDEXPROJ algorithm issue only index-backed point and prefix lookups.
+// Those lookups are typed range scans of the embedded engine's indexes
+// (internal/reldb); SQL (the sqlike driver behind database/sql) carries the
+// schema, the per-row write path and the ad-hoc/admin surface.
 package store
 
 import (
@@ -14,8 +16,8 @@ import (
 // Index keys: list indices are stored as strings in a fixed-width dotted
 // encoding ("000001.000002." for [1,2], "" for []) chosen so that string
 // prefix relationships coincide exactly with index prefix relationships.
-// This is what lets a single `idx LIKE '<key>%'` retrieve every event at
-// equal or finer granularity than a query index, with no false positives
+// This is what lets a single prefix scan (`idx LIKE '<key>%'`) retrieve every
+// event at equal or finer granularity than a query index, with no false positives
 // (every component is terminated by '.', so "[1]" can never match "[10]").
 
 const idxComponentWidth = 6

@@ -1,10 +1,10 @@
 package store
 
 import (
-	"database/sql"
-	"errors"
 	"fmt"
+	"sort"
 
+	"repro/internal/reldb"
 	"repro/internal/trace"
 	"repro/internal/value"
 )
@@ -15,169 +15,124 @@ import (
 // Event grouping is recovered from the stored event IDs; xform inputs come
 // back in port-declaration order.
 func (s *Store) LoadTrace(runID string) (*trace.Trace, error) {
-	return s.loadTraceOn(s, runID)
+	return loadTraceOn(s.engine(), runID)
 }
 
-func (s *Store) loadTraceOn(r runner, runID string) (*trace.Trace, error) {
-	var wfName string
-	err := r.queryRow(`SELECT workflow FROM runs WHERE run_id = ?`, runID).Scan(&wfName)
-	if errors.Is(err, sql.ErrNoRows) {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownRun, runID)
-	}
+func loadTraceOn(r reader, runID string) (*trace.Trace, error) {
+	ofRun := reldb.Eq("run_id", reldb.S(runID))
+	runs, err := r.selectRows("runs", ofRun)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	t := &trace.Trace{RunID: runID, Workflow: wfName}
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownRun, runID)
+	}
+	t := &trace.Trace{RunID: runID, Workflow: runs[0][runsWorkflow].Str()}
 
 	// Values, interned by ID.
-	vals := make(map[int64]value.Value)
-	rows, err := r.query(`SELECT val_id, payload FROM vals WHERE run_id = ?`, runID)
+	rows, err := r.selectRows("vals", ofRun)
 	if err != nil {
 		return nil, err
 	}
-	for rows.Next() {
-		var id int64
-		var payload string
-		if err := rows.Scan(&id, &payload); err != nil {
-			rows.Close()
-			return nil, err
-		}
-		v, err := value.Decode(payload)
-		if err != nil {
-			rows.Close()
+	vals := make(map[int64]value.Value, len(rows))
+	for _, row := range rows {
+		id := row[valsID].Int()
+		if vals[id], err = value.Decode(row[valsPayload].Str()); err != nil {
 			return nil, fmt.Errorf("store: value %d of run %q: %w", id, runID, err)
 		}
-		vals[id] = v
 	}
-	if err := closeRows(rows); err != nil {
-		return nil, err
-	}
-	lookup := func(id int64) (value.Value, error) {
-		v, ok := vals[id]
-		if !ok {
-			return value.Value{}, fmt.Errorf("store: run %q references missing value %d", runID, id)
+	// binding rebuilds the binding stored at four columns of a row.
+	binding := func(row reldb.Row, proc, port, idx, ctx, valID int) (trace.Binding, error) {
+		index, err := ParseIdxKey(row[idx].Str())
+		if err != nil {
+			return trace.Binding{}, err
 		}
-		return v, nil
+		v, ok := vals[row[valID].Int()]
+		if !ok {
+			return trace.Binding{}, fmt.Errorf("store: run %q references missing value %d", runID, row[valID].Int())
+		}
+		return trace.Binding{Proc: row[proc].Str(), Port: row[port].Str(), Index: index, Ctx: int(row[ctx].Int()), Value: v}, nil
 	}
 
-	// Xform events, rebuilt by event ID.
+	// Xform events, rebuilt by event ID: inputs in (event_id, pos) order,
+	// then outputs in event_id order. An event may have no inputs (a source
+	// processor with only defaults); it is then created from its first
+	// output.
 	events := make(map[int64]*trace.XformEvent)
 	order := []int64{}
-	rows, err = r.query(
-		`SELECT event_id, proc, port, idx, ctx, val_id FROM xform_in WHERE run_id = ? ORDER BY event_id, pos`, runID)
-	if err != nil {
+	event := func(row reldb.Row, eventCol, procCol int) *trace.XformEvent {
+		id := row[eventCol].Int()
+		ev, ok := events[id]
+		if !ok {
+			ev = &trace.XformEvent{Proc: row[procCol].Str()}
+			events[id] = ev
+			order = append(order, id)
+		}
+		return ev
+	}
+	if rows, err = selectOrdered(r, "xform_in", ofRun, inEvent, inPos); err != nil {
 		return nil, err
 	}
-	for rows.Next() {
-		var eventID, ctx, valID int64
-		var proc, port, key string
-		if err := rows.Scan(&eventID, &proc, &port, &key, &ctx, &valID); err != nil {
-			rows.Close()
-			return nil, err
-		}
-		b, err := rebuildBinding(proc, port, key, ctx, valID, lookup)
+	for _, row := range rows {
+		b, err := binding(row, inProc, inPort, inIdx, inCtx, inVal)
 		if err != nil {
-			rows.Close()
 			return nil, err
 		}
-		ev, ok := events[eventID]
-		if !ok {
-			ev = &trace.XformEvent{Proc: proc}
-			events[eventID] = ev
-			order = append(order, eventID)
-		}
+		ev := event(row, inEvent, inProc)
 		ev.Inputs = append(ev.Inputs, b)
 	}
-	if err := closeRows(rows); err != nil {
+	if rows, err = selectOrdered(r, "xform_out", ofRun, outEvent); err != nil {
 		return nil, err
 	}
-	rows, err = r.query(
-		`SELECT event_id, proc, port, idx, ctx, val_id FROM xform_out WHERE run_id = ? ORDER BY event_id`, runID)
-	if err != nil {
-		return nil, err
-	}
-	for rows.Next() {
-		var eventID, ctx, valID int64
-		var proc, port, key string
-		if err := rows.Scan(&eventID, &proc, &port, &key, &ctx, &valID); err != nil {
-			rows.Close()
-			return nil, err
-		}
-		b, err := rebuildBinding(proc, port, key, ctx, valID, lookup)
+	for _, row := range rows {
+		b, err := binding(row, outProc, outPort, outIdx, outCtx, outVal)
 		if err != nil {
-			rows.Close()
 			return nil, err
 		}
-		ev, ok := events[eventID]
-		if !ok {
-			// An event may have no inputs (a source processor with only
-			// defaults); create it from its first output.
-			ev = &trace.XformEvent{Proc: proc}
-			events[eventID] = ev
-			order = append(order, eventID)
-		}
+		ev := event(row, outEvent, outProc)
 		ev.Outputs = append(ev.Outputs, b)
-	}
-	if err := closeRows(rows); err != nil {
-		return nil, err
 	}
 	for _, id := range order {
 		t.Xforms = append(t.Xforms, *events[id])
 	}
 
 	// Xfer events.
-	rows, err = r.query(
-		`SELECT from_proc, from_port, from_idx, from_ctx, to_proc, to_port, to_idx, to_ctx, val_id FROM xfer WHERE run_id = ?`, runID)
-	if err != nil {
+	if rows, err = r.selectRows("xfer", ofRun); err != nil {
 		return nil, err
 	}
-	for rows.Next() {
-		var fromProc, fromPort, fromKey, toProc, toPort, toKey string
-		var fromCtx, toCtx, valID int64
-		if err := rows.Scan(&fromProc, &fromPort, &fromKey, &fromCtx, &toProc, &toPort, &toKey, &toCtx, &valID); err != nil {
-			rows.Close()
+	for _, row := range rows {
+		from, err := binding(row, xferFromProc, xferFromPort, xferFromIdx, xferFromCtx, xferVal)
+		if err != nil {
 			return nil, err
 		}
-		from, err := rebuildBinding(fromProc, fromPort, fromKey, fromCtx, valID, lookup)
+		to, err := binding(row, xferToProc, xferToPort, xferToIdx, xferToCtx, xferVal)
 		if err != nil {
-			rows.Close()
-			return nil, err
-		}
-		to, err := rebuildBinding(toProc, toPort, toKey, toCtx, valID, lookup)
-		if err != nil {
-			rows.Close()
 			return nil, err
 		}
 		t.Xfers = append(t.Xfers, trace.XferEvent{From: from, To: to})
 	}
-	if err := closeRows(rows); err != nil {
-		return nil, err
-	}
 	return t, nil
 }
 
-func rebuildBinding(proc, port, key string, ctx, valID int64, lookup func(int64) (value.Value, error)) (trace.Binding, error) {
-	idx, err := ParseIdxKey(key)
+// selectOrdered selects a run's rows ordered by the given integer columns.
+// The engine already returns them so — xin_evt and xout_evt are the indexes
+// it walks for a run_id equality — unless it had to fall back (a quarantined
+// index), in which case they are sorted here.
+func selectOrdered(r reader, table string, ofRun reldb.Pred, by ...int) ([]reldb.Row, error) {
+	rows, err := r.selectRows(table, ofRun)
 	if err != nil {
-		return trace.Binding{}, err
+		return nil, err
 	}
-	v, err := lookup(valID)
-	if err != nil {
-		return trace.Binding{}, err
+	less := func(i, j int) bool {
+		for _, c := range by {
+			if a, b := rows[i][c].Int(), rows[j][c].Int(); a != b {
+				return a < b
+			}
+		}
+		return false
 	}
-	return trace.Binding{Proc: proc, Port: port, Index: idx, Ctx: int(ctx), Value: v}, nil
-}
-
-// closeRows closes a row set and surfaces both iteration and close errors.
-type rowsCloser interface {
-	Close() error
-	Err() error
-}
-
-func closeRows(rows rowsCloser) error {
-	if err := rows.Err(); err != nil {
-		rows.Close()
-		return err
+	if !sort.SliceIsSorted(rows, less) {
+		sort.SliceStable(rows, less)
 	}
-	return rows.Close()
+	return rows, nil
 }

@@ -1,10 +1,11 @@
 package store
 
 import (
-	"database/sql"
 	"fmt"
+	"sort"
 	"sync/atomic"
 
+	"repro/internal/reldb"
 	"repro/internal/value"
 )
 
@@ -42,12 +43,13 @@ type Xfer struct {
 	To   Binding
 }
 
-// queryCount counts the SQL queries issued by the lineage-facing accessors;
-// the benchmark harness uses it to verify the per-algorithm query-complexity
-// claims (NI issues O(path length) queries, INDEXPROJ O(|focus|)).
+// queryCount counts the trace probes (index range scans) issued by the
+// lineage-facing accessors; the benchmark harness uses it to verify the
+// per-algorithm query-complexity claims (NI issues O(path length) probes,
+// INDEXPROJ O(|focus|)).
 var queryCount atomic.Int64
 
-// QueryCount returns the cumulative number of lineage-facing SQL queries
+// QueryCount returns the cumulative number of lineage-facing trace probes
 // issued through this package.
 func QueryCount() int64 { return queryCount.Load() }
 
@@ -59,111 +61,106 @@ func ResetQueryCount() int64 { return queryCount.Swap(0) }
 // granularity rules of §2.3/§2.4:
 //
 //   - events recorded at the same or finer granularity (their index extends
-//     idx) match directly — one prefix query retrieves them;
+//     idx) match directly — one prefix probe retrieves them;
 //   - otherwise the event granularity is coarser: the longest proper prefix
 //     of idx with recorded events matches (the answer degrades gracefully,
 //     as for many-to-many processors).
 //
 // Each returned event carries its full ordered input bindings.
 func (s *Store) XformsByOutput(runID, proc, port string, idx value.Index) ([]Xform, error) {
-	return s.xformsByOutputOn(s, runID, proc, port, idx)
+	return s.xformsByOutputOn(s.engine(), runID, proc, port, idx)
 }
 
-func (s *Store) xformsByOutputOn(r runner, runID, proc, port string, idx value.Index) ([]Xform, error) {
-	key, err := IdxKey(idx)
+func (s *Store) xformsByOutputOn(r reader, runID, proc, port string, idx value.Index) ([]Xform, error) {
+	out := []Xform{}
+	err := probeIdx(r, s.scans.outsPrefix, s.scans.outsExact, runID, proc, port, idx, func(row reldb.Row) error {
+		b, err := rowBinding(runID, proc, port, row[outIdx], row[outCtx], row[outVal])
+		out = append(out, Xform{RunID: runID, EventID: row[outEvent].Int(), Proc: proc, Output: b})
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	events, err := s.outsByPrefix(r, runID, proc, port, key)
-	if err != nil {
-		return nil, err
-	}
-	if len(events) == 0 {
-		// Coarser events: probe successively shorter exact prefixes.
-		for n := len(idx) - 1; n >= 0 && len(events) == 0; n-- {
-			events, err = s.outsExact(r, runID, proc, port, MustIdxKey(idx.Truncate(n)))
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	out := make([]Xform, 0, len(events))
-	for _, ev := range events {
-		inputs, err := s.eventInputs(r, runID, ev.eventID)
-		if err != nil {
+	for i := range out {
+		if out[i].Inputs, err = s.eventInputs(r, runID, out[i].EventID); err != nil {
 			return nil, err
 		}
-		out = append(out, Xform{RunID: runID, EventID: ev.eventID, Proc: proc, Inputs: inputs, Output: ev.Binding})
 	}
 	return out, nil
 }
 
-// outRow is a row of xform_out plus its event id.
-type outRow struct {
-	Binding
-	eventID int64
-}
-
-func (s *Store) outsByPrefix(r runner, runID, proc, port, keyPrefix string) ([]outRow, error) {
-	countQuery(1)
-	rows, err := r.stmt(s.qOutsPrefix).Query(runID, proc, port, keyPrefix+"%")
+// probeIdx applies the granularity rules to a (run_id, proc, port, idx)
+// index: one prefix scan for events at idx or finer, then — while nothing
+// matched — exact scans of successively shorter prefixes of idx. Every scan
+// counts as one probe.
+func probeIdx(r reader, prefix, exact *reldb.Scan, runID, proc, port string, idx value.Index, each func(row reldb.Row) error) error {
+	key, err := IdxKey(idx)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return s.scanOuts(rows, runID, proc, port)
-}
-
-func (s *Store) outsExact(r runner, runID, proc, port, key string) ([]outRow, error) {
-	countQuery(1)
-	rows, err := r.stmt(s.qOutsExact).Query(runID, proc, port, key)
-	if err != nil {
-		return nil, err
-	}
-	return s.scanOuts(rows, runID, proc, port)
-}
-
-func (s *Store) scanOuts(rows *sql.Rows, runID, proc, port string) ([]outRow, error) {
-	defer rows.Close()
-	var out []outRow
-	for rows.Next() {
-		var eventID, ctx, valID int64
-		var key string
-		if err := rows.Scan(&eventID, &key, &ctx, &valID); err != nil {
-			return nil, err
+	vals := [4]reldb.Datum{reldb.S(runID), reldb.S(proc), reldb.S(port), reldb.S(key)}
+	sc := prefix
+	for n := len(idx); ; n-- {
+		countQuery(1)
+		matched := false
+		if err := r.scan(sc, vals[:], func(row reldb.Row) error {
+			matched = true
+			return each(row)
+		}); err != nil {
+			return err
 		}
-		idx, err := ParseIdxKey(key)
-		if err != nil {
-			return nil, err
+		if matched || n == 0 {
+			return nil
 		}
-		out = append(out, outRow{
-			Binding: Binding{RunID: runID, Proc: proc, Port: port, Index: idx, Ctx: int(ctx), ValID: valID},
-			eventID: eventID,
-		})
+		sc, vals[3] = exact, reldb.S(MustIdxKey(idx.Truncate(n-1)))
 	}
-	return out, rows.Err()
 }
 
-func (s *Store) eventInputs(r runner, runID string, eventID int64) ([]Binding, error) {
+// rowBinding builds the binding stored in an event row's idx, ctx and val_id
+// columns.
+func rowBinding(runID, proc, port string, key, ctx, valID reldb.Datum) (Binding, error) {
+	idx, err := ParseIdxKey(key.Str())
+	return Binding{RunID: runID, Proc: proc, Port: port, Index: idx, Ctx: int(ctx.Int()), ValID: valID.Int()}, err
+}
+
+// eventInputs returns one event's input bindings in port-declaration (pos)
+// order. That is the order xin_evt yields them in; should the planner have
+// had to walk something else (the index is quarantined), they are sorted.
+func (s *Store) eventInputs(r reader, runID string, eventID int64) ([]Binding, error) {
 	countQuery(1)
-	rows, err := r.stmt(s.qEventIns).Query(runID, eventID)
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
+	var posBuf [8]int64 // stack room for the usual handful of input ports
 	var out []Binding
-	for rows.Next() {
-		var pos, ctx, valID int64
-		var proc, port, key string
-		if err := rows.Scan(&pos, &proc, &port, &key, &ctx, &valID); err != nil {
-			return nil, err
-		}
-		idx, err := ParseIdxKey(key)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Binding{RunID: runID, Proc: proc, Port: port, Index: idx, Ctx: int(ctx), ValID: valID})
+	poss, sorted := posBuf[:0], true
+	vals := [2]reldb.Datum{reldb.S(runID), reldb.I(eventID)}
+	err := r.scan(s.scans.eventIns, vals[:], func(row reldb.Row) error {
+		b, err := rowBinding(runID, row[inProc].Str(), row[inPort].Str(), row[inIdx], row[inCtx], row[inVal])
+		pos := row[inPos].Int()
+		sorted = sorted && (len(poss) == 0 || poss[len(poss)-1] <= pos)
+		out, poss = append(out, b), append(poss, pos)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, rows.Err()
+	if !sorted {
+		// Sorts out in place; the positions are copied so that the sort's
+		// interface conversion does not force posBuf onto the heap.
+		sort.Stable(byPos{bs: out, pos: append([]int64(nil), poss...)})
+	}
+	return out, nil
+}
+
+// byPos orders bindings by their recorded port position.
+type byPos struct {
+	bs  []Binding
+	pos []int64
+}
+
+func (o byPos) Len() int           { return len(o.bs) }
+func (o byPos) Less(i, j int) bool { return o.pos[i] < o.pos[j] }
+func (o byPos) Swap(i, j int) {
+	o.bs[i], o.bs[j] = o.bs[j], o.bs[i]
+	o.pos[i], o.pos[j] = o.pos[j], o.pos[i]
 }
 
 // InputBindings is the trace query Q(P, X_i, p_i) of Alg. 2: it returns the
@@ -171,172 +168,84 @@ func (s *Store) eventInputs(r runner, runID string, eventID int64) ([]Binding, e
 // applying the same granularity rules as XformsByOutput (exact or finer
 // first, else the longest coarser prefix).
 func (s *Store) InputBindings(runID, proc, port string, idx value.Index) ([]Binding, error) {
-	return s.inputBindingsOn(s, runID, proc, port, idx)
+	return s.inputBindingsOn(s.engine(), runID, proc, port, idx)
 }
 
-func (s *Store) inputBindingsOn(r runner, runID, proc, port string, idx value.Index) ([]Binding, error) {
-	key, err := IdxKey(idx)
+func (s *Store) inputBindingsOn(r reader, runID, proc, port string, idx value.Index) ([]Binding, error) {
+	var out []Binding
+	err := probeIdx(r, s.scans.insPrefix, s.scans.insExact, runID, proc, port, idx, func(row reldb.Row) error {
+		b, err := rowBinding(runID, proc, port, row[inIdx], row[inCtx], row[inVal])
+		out = append(out, b)
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	out, err := s.insByPrefix(r, runID, proc, port, key)
-	if err != nil {
-		return nil, err
-	}
-	for n := len(idx) - 1; n >= 0 && len(out) == 0; n-- {
-		out, err = s.insExact(r, runID, proc, port, MustIdxKey(idx.Truncate(n)))
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }
 
-func (s *Store) insByPrefix(r runner, runID, proc, port, keyPrefix string) ([]Binding, error) {
-	countQuery(1)
-	rows, err := r.stmt(s.qInsPrefix).Query(runID, proc, port, keyPrefix+"%")
-	if err != nil {
-		return nil, err
-	}
-	return s.scanIns(rows, runID, proc, port)
-}
-
-func (s *Store) insExact(r runner, runID, proc, port, key string) ([]Binding, error) {
-	countQuery(1)
-	rows, err := r.stmt(s.qInsExact).Query(runID, proc, port, key)
-	if err != nil {
-		return nil, err
-	}
-	return s.scanIns(rows, runID, proc, port)
-}
-
-func (s *Store) scanIns(rows *sql.Rows, runID, proc, port string) ([]Binding, error) {
-	defer rows.Close()
-	var out []Binding
-	for rows.Next() {
-		var ctx, valID int64
-		var key string
-		if err := rows.Scan(&key, &ctx, &valID); err != nil {
-			return nil, err
-		}
-		idx, err := ParseIdxKey(key)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Binding{RunID: runID, Proc: proc, Port: port, Index: idx, Ctx: int(ctx), ValID: valID})
-	}
-	return out, rows.Err()
-}
-
 // XfersTo returns the xfer events whose sink is the given port.
 func (s *Store) XfersTo(runID, proc, port string) ([]Xfer, error) {
-	return s.xfersToOn(s, runID, proc, port)
+	return s.xfersOn(s.engine(), s.scans.xfersTo, runID, proc, port)
 }
 
-func (s *Store) xfersToOn(r runner, runID, proc, port string) ([]Xfer, error) {
+// XfersFrom returns the xfer events whose source is the given port.
+func (s *Store) XfersFrom(runID, proc, port string) ([]Xfer, error) {
+	return s.xfersOn(s.engine(), s.scans.xfersFrom, runID, proc, port)
+}
+
+// xfersOn scans the run's xfer events by one endpoint (sc is xfersTo or
+// xfersFrom).
+func (s *Store) xfersOn(r reader, sc *reldb.Scan, runID, proc, port string) ([]Xfer, error) {
 	countQuery(1)
-	rows, err := r.stmt(s.qXfersTo).Query(runID, proc, port)
+	var out []Xfer
+	vals := [3]reldb.Datum{reldb.S(runID), reldb.S(proc), reldb.S(port)}
+	err := r.scan(sc, vals[:], func(row reldb.Row) error {
+		from, err := rowBinding(runID, row[xferFromProc].Str(), row[xferFromPort].Str(), row[xferFromIdx], row[xferFromCtx], row[xferVal])
+		if err != nil {
+			return err
+		}
+		to, err := rowBinding(runID, row[xferToProc].Str(), row[xferToPort].Str(), row[xferToIdx], row[xferToCtx], row[xferVal])
+		out = append(out, Xfer{From: from, To: to})
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close()
-	var out []Xfer
-	for rows.Next() {
-		var fromProc, fromPort, fromKey, toKey string
-		var fromCtx, toCtx, valID int64
-		if err := rows.Scan(&fromProc, &fromPort, &fromKey, &fromCtx, &toKey, &toCtx, &valID); err != nil {
-			return nil, err
-		}
-		fromIdx, err := ParseIdxKey(fromKey)
-		if err != nil {
-			return nil, err
-		}
-		toIdx, err := ParseIdxKey(toKey)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Xfer{
-			From: Binding{RunID: runID, Proc: fromProc, Port: fromPort, Index: fromIdx, Ctx: int(fromCtx), ValID: valID},
-			To:   Binding{RunID: runID, Proc: proc, Port: port, Index: toIdx, Ctx: int(toCtx), ValID: valID},
-		})
-	}
-	return out, rows.Err()
+	return out, nil
 }
 
 // Value materializes a stored port value.
 func (s *Store) Value(runID string, valID int64) (value.Value, error) {
-	return s.valueOn(s, runID, valID)
+	return s.valueOn(s.engine(), runID, valID)
 }
 
-func (s *Store) valueOn(r runner, runID string, valID int64) (value.Value, error) {
-	countQuery(1)
-	var payload string
-	err := r.stmt(s.qValue).QueryRow(runID, valID).Scan(&payload)
-	if err == sql.ErrNoRows {
-		return value.Value{}, fmt.Errorf("store: no value %d in run %q", valID, runID)
-	}
+func (s *Store) valueOn(r reader, runID string, valID int64) (value.Value, error) {
+	payload, err := s.payloadOn(r, runID, valID)
 	if err != nil {
 		return value.Value{}, err
 	}
 	return value.Decode(payload)
 }
 
+// payloadOn fetches one stored value's encoded payload: a point probe of
+// vals_id.
+func (s *Store) payloadOn(r reader, runID string, valID int64) (payload string, err error) {
+	countQuery(1)
+	found := false
+	vals := [2]reldb.Datum{reldb.S(runID), reldb.I(valID)}
+	err = r.scan(s.scans.value, vals[:], func(row reldb.Row) error {
+		payload, found = row[valsPayload].Str(), true
+		return errStop
+	})
+	if err == nil && !found {
+		err = fmt.Errorf("store: no value %d in run %q", valID, runID)
+	}
+	return payload, err
+}
+
 // Forward-direction accessors, used by impact (descendant) queries: the dual
 // of the lineage direction.
-
-// XformsByInput returns the xform events of proc with an input binding on
-// the given port matching idx (same granularity rules as XformsByOutput),
-// each carrying its full output bindings.
-func (s *Store) XformsByInput(runID, proc, port string, idx value.Index) ([]ForwardXform, error) {
-	return s.xformsByInputOn(s, runID, proc, port, idx)
-}
-
-func (s *Store) xformsByInputOn(r runner, runID, proc, port string, idx value.Index) ([]ForwardXform, error) {
-	key, err := IdxKey(idx)
-	if err != nil {
-		return nil, err
-	}
-	countQuery(1)
-	rows, err := r.query(
-		`SELECT event_id, idx, ctx, val_id FROM xform_in WHERE run_id = ? AND proc = ? AND port = ? AND idx LIKE ?`,
-		runID, proc, port, key+"%")
-	if err != nil {
-		return nil, err
-	}
-	matched, err := s.scanOuts(rows, runID, proc, port) // same row shape
-	if err != nil {
-		return nil, err
-	}
-	if len(matched) == 0 {
-		for n := len(idx) - 1; n >= 0 && len(matched) == 0; n-- {
-			countQuery(1)
-			rows, err := r.query(
-				`SELECT event_id, idx, ctx, val_id FROM xform_in WHERE run_id = ? AND proc = ? AND port = ? AND idx = ?`,
-				runID, proc, port, MustIdxKey(idx.Truncate(n)))
-			if err != nil {
-				return nil, err
-			}
-			matched, err = s.scanOuts(rows, runID, proc, port)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	out := make([]ForwardXform, 0, len(matched))
-	seen := make(map[int64]bool, len(matched))
-	for _, m := range matched {
-		if seen[m.eventID] {
-			continue
-		}
-		seen[m.eventID] = true
-		outs, err := s.eventOutputs(r, runID, m.eventID)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ForwardXform{RunID: runID, EventID: m.eventID, Proc: proc, Input: m.Binding, Outputs: outs})
-	}
-	return out, nil
-}
 
 // ForwardXform is a stored xform event matched through one of its inputs.
 type ForwardXform struct {
@@ -347,64 +256,48 @@ type ForwardXform struct {
 	Outputs []Binding
 }
 
-func (s *Store) eventOutputs(r runner, runID string, eventID int64) ([]Binding, error) {
-	countQuery(1)
-	rows, err := r.query(
-		`SELECT proc, port, idx, ctx, val_id FROM xform_out WHERE run_id = ? AND event_id = ?`,
-		runID, eventID)
+// XformsByInput returns the xform events of proc with an input binding on
+// the given port matching idx (same granularity rules as XformsByOutput),
+// each carrying its full output bindings.
+func (s *Store) XformsByInput(runID, proc, port string, idx value.Index) ([]ForwardXform, error) {
+	return s.xformsByInputOn(s.engine(), runID, proc, port, idx)
+}
+
+func (s *Store) xformsByInputOn(r reader, runID, proc, port string, idx value.Index) ([]ForwardXform, error) {
+	out := []ForwardXform{}
+	seen := make(map[int64]bool)
+	err := probeIdx(r, s.scans.insPrefix, s.scans.insExact, runID, proc, port, idx, func(row reldb.Row) error {
+		eventID := row[inEvent].Int()
+		if seen[eventID] {
+			return nil
+		}
+		seen[eventID] = true
+		b, err := rowBinding(runID, proc, port, row[inIdx], row[inCtx], row[inVal])
+		out = append(out, ForwardXform{RunID: runID, EventID: eventID, Proc: proc, Input: b})
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close()
+	for i := range out {
+		if out[i].Outputs, err = s.eventOutputs(r, runID, out[i].EventID); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func (s *Store) eventOutputs(r reader, runID string, eventID int64) ([]Binding, error) {
+	countQuery(1)
 	var out []Binding
-	for rows.Next() {
-		var ctx, valID int64
-		var proc, port, key string
-		if err := rows.Scan(&proc, &port, &key, &ctx, &valID); err != nil {
-			return nil, err
-		}
-		idx, err := ParseIdxKey(key)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Binding{RunID: runID, Proc: proc, Port: port, Index: idx, Ctx: int(ctx), ValID: valID})
-	}
-	return out, rows.Err()
-}
-
-// XfersFrom returns the xfer events whose source is the given port.
-func (s *Store) XfersFrom(runID, proc, port string) ([]Xfer, error) {
-	return s.xfersFromOn(s, runID, proc, port)
-}
-
-func (s *Store) xfersFromOn(r runner, runID, proc, port string) ([]Xfer, error) {
-	countQuery(1)
-	rows, err := r.query(
-		`SELECT from_idx, from_ctx, to_proc, to_port, to_idx, to_ctx, val_id FROM xfer WHERE run_id = ? AND from_proc = ? AND from_port = ?`,
-		runID, proc, port)
+	vals := [2]reldb.Datum{reldb.S(runID), reldb.I(eventID)}
+	err := r.scan(s.scans.eventOuts, vals[:], func(row reldb.Row) error {
+		b, err := rowBinding(runID, row[outProc].Str(), row[outPort].Str(), row[outIdx], row[outCtx], row[outVal])
+		out = append(out, b)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close()
-	var out []Xfer
-	for rows.Next() {
-		var fromKey, toProc, toPort, toKey string
-		var fromCtx, toCtx, valID int64
-		if err := rows.Scan(&fromKey, &fromCtx, &toProc, &toPort, &toKey, &toCtx, &valID); err != nil {
-			return nil, err
-		}
-		fromIdx, err := ParseIdxKey(fromKey)
-		if err != nil {
-			return nil, err
-		}
-		toIdx, err := ParseIdxKey(toKey)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Xfer{
-			From: Binding{RunID: runID, Proc: proc, Port: port, Index: fromIdx, Ctx: int(fromCtx), ValID: valID},
-			To:   Binding{RunID: runID, Proc: toProc, Port: toPort, Index: toIdx, Ctx: int(toCtx), ValID: valID},
-		})
-	}
-	return out, rows.Err()
+	return out, nil
 }

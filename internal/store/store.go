@@ -6,23 +6,29 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/colstore"
 	"repro/internal/reldb"
 	"repro/internal/sqlike"
 )
 
-// Store is a handle on a provenance database. It is safe for concurrent use
-// (the underlying engine serializes statements). The lineage-facing queries
-// are prepared once per store, as the paper's JDBC implementation did.
+// Store is a handle on a provenance database. It is safe for concurrent use.
+// Lineage probes and the other reads are typed index scans issued straight
+// at the embedded engine (see reader.go): lock-free against its last
+// published version, so readers never wait on each other or on ingest. SQL
+// (db) carries what is not a probe: DDL and migration, the unbuffered
+// writers' INSERTs, run deletion, the dead-letter queue, and the ad-hoc
+// surface handed out by DB().
 type Store struct {
 	db  *sql.DB
 	dsn string
-	// rdb is the embedded engine behind dsn. Buffered run writers flush
-	// multi-row batches straight into it (one lock acquisition + one
-	// group-committed WAL record per batch), bypassing the per-row SQL path.
+	// rdb is the embedded engine behind dsn. Reads scan it directly, and
+	// buffered run writers flush multi-row batches straight into it (one
+	// lock acquisition + one group-committed WAL record per batch),
+	// bypassing the per-row SQL path.
 	rdb *reldb.DB
+	// scans are the read path's access paths, prepared once per store.
+	scans scans
 
 	// The four event INSERT statements, prepared once per store and shared
 	// by every (unbuffered) RunWriter; *sql.Stmt is safe for concurrent use.
@@ -31,32 +37,14 @@ type Store struct {
 	insOut  *sql.Stmt
 	insXfer *sql.Stmt
 
-	qOutsPrefix *sql.Stmt
-	qOutsExact  *sql.Stmt
-	qEventIns   *sql.Stmt
-	qInsPrefix  *sql.Stmt
-	qInsExact   *sql.Stmt
-	qXfersTo    *sql.Stmt
-	qValue      *sql.Stmt
-
-	// Batched (multi-run) probe statements: keyed by (proc, port, idx)
-	// without a run filter, they answer Q(P, X, p) for every run in one
-	// index-range scan over xin_ppi (see InputBindingsBatch).
-	qInsBatchPrefix *sql.Stmt
-	qInsBatchExact  *sql.Stmt
-	qValsRange      *sql.Stmt
-	qValsRangeAll   *sql.Stmt
-
-	// runsEst caches the number of stored runs (-1 = unknown); ValuesBatch
-	// uses it to estimate the row cost of a cross-run value scan.
-	runsEst atomic.Int64
-
 	// runSet caches the stored run IDs (nil = unknown) so HasRun — called
 	// once per run by every multi-run query's validation pass — is a map
-	// lookup, not a COUNT over the runs table. Writers invalidate it
-	// alongside runsEst.
+	// lookup, not a scan of the runs table. Writers invalidate it; runGen
+	// counts the invalidations, so a set listed before one can never be
+	// installed after it.
 	runSetMu sync.RWMutex
 	runSet   map[string]bool
+	runGen   uint64
 
 	// Columnar projection state (see colseg.go). segs caches one immutable
 	// colstore.Segment per checkpointed run; openWriters and segGen fence
@@ -109,6 +97,20 @@ var schema = []string{
 	`CREATE INDEX dlq_seq ON dlq (seq)`,
 }
 
+// Column positions of the tables above, for the typed engine reads.
+const (
+	runsRun, runsWorkflow = 0, 1
+
+	valsRun, valsID, valsPayload = 0, 1, 2
+
+	inRun, inEvent, inPos, inProc, inPort, inIdx, inCtx, inVal = 0, 1, 2, 3, 4, 5, 6, 7
+
+	outRun, outEvent, outProc, outPort, outIdx, outCtx, outVal = 0, 1, 2, 3, 4, 5, 6
+
+	xferRun, xferFromProc, xferFromPort, xferFromIdx, xferFromCtx = 0, 1, 2, 3, 4
+	xferToProc, xferToPort, xferToIdx, xferToCtx, xferVal         = 5, 6, 7, 8, 9
+)
+
 // Open opens (and if necessary initializes) a provenance store at the given
 // sqlike DSN ("memory:<name>" or "file:<path>").
 func Open(dsn string) (*Store, error) {
@@ -116,13 +118,12 @@ func Open(dsn string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{db: db, dsn: dsn}
-	s.runsEst.Store(-1)
+	s := &Store{db: db, dsn: dsn, scans: newScans()}
 	if err := s.ensureSchema(); err != nil {
 		db.Close()
 		return nil, err
 	}
-	if err := s.prepareQueries(); err != nil {
+	if err := s.prepareInserts(); err != nil {
 		db.Close()
 		return nil, err
 	}
@@ -134,72 +135,23 @@ func Open(dsn string) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) prepareQueries() error {
-	prep := func(dst **sql.Stmt, query string) error {
-		st, err := s.db.Prepare(query)
+func (s *Store) prepareInserts() error {
+	for _, p := range []struct {
+		dst   **sql.Stmt
+		query string
+	}{
+		{&s.insVal, `INSERT INTO vals (run_id, val_id, payload) VALUES (?, ?, ?)`},
+		{&s.insIn, `INSERT INTO xform_in (run_id, event_id, pos, proc, port, idx, ctx, val_id) VALUES (?, ?, ?, ?, ?, ?, ?, ?)`},
+		{&s.insOut, `INSERT INTO xform_out (run_id, event_id, proc, port, idx, ctx, val_id) VALUES (?, ?, ?, ?, ?, ?, ?)`},
+		{&s.insXfer, `INSERT INTO xfer (run_id, from_proc, from_port, from_idx, from_ctx, to_proc, to_port, to_idx, to_ctx, val_id) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`},
+	} {
+		st, err := s.db.Prepare(p.query)
 		if err != nil {
-			return fmt.Errorf("store: preparing %q: %w", query, err)
+			return fmt.Errorf("store: preparing %q: %w", p.query, err)
 		}
-		*dst = st
-		return nil
+		*p.dst = st
 	}
-	if err := prep(&s.qOutsPrefix,
-		`SELECT event_id, idx, ctx, val_id FROM xform_out WHERE run_id = ? AND proc = ? AND port = ? AND idx LIKE ?`); err != nil {
-		return err
-	}
-	if err := prep(&s.qOutsExact,
-		`SELECT event_id, idx, ctx, val_id FROM xform_out WHERE run_id = ? AND proc = ? AND port = ? AND idx = ?`); err != nil {
-		return err
-	}
-	if err := prep(&s.qEventIns,
-		`SELECT pos, proc, port, idx, ctx, val_id FROM xform_in WHERE run_id = ? AND event_id = ? ORDER BY pos`); err != nil {
-		return err
-	}
-	if err := prep(&s.qInsPrefix,
-		`SELECT idx, ctx, val_id FROM xform_in WHERE run_id = ? AND proc = ? AND port = ? AND idx LIKE ?`); err != nil {
-		return err
-	}
-	if err := prep(&s.qInsExact,
-		`SELECT idx, ctx, val_id FROM xform_in WHERE run_id = ? AND proc = ? AND port = ? AND idx = ?`); err != nil {
-		return err
-	}
-	if err := prep(&s.qXfersTo,
-		`SELECT from_proc, from_port, from_idx, from_ctx, to_idx, to_ctx, val_id FROM xfer WHERE run_id = ? AND to_proc = ? AND to_port = ?`); err != nil {
-		return err
-	}
-	if err := prep(&s.qInsBatchPrefix,
-		`SELECT run_id, idx, ctx, val_id FROM xform_in WHERE proc = ? AND port = ? AND idx LIKE ?`); err != nil {
-		return err
-	}
-	if err := prep(&s.qInsBatchExact,
-		`SELECT run_id, idx, ctx, val_id FROM xform_in WHERE proc = ? AND port = ? AND idx = ?`); err != nil {
-		return err
-	}
-	if err := prep(&s.qValsRange,
-		`SELECT val_id, payload FROM vals WHERE run_id = ? AND val_id >= ? AND val_id <= ?`); err != nil {
-		return err
-	}
-	if err := prep(&s.qValsRangeAll,
-		`SELECT run_id, val_id, payload FROM vals WHERE val_id >= ? AND val_id <= ?`); err != nil {
-		return err
-	}
-	if err := prep(&s.insVal,
-		`INSERT INTO vals (run_id, val_id, payload) VALUES (?, ?, ?)`); err != nil {
-		return err
-	}
-	if err := prep(&s.insIn,
-		`INSERT INTO xform_in (run_id, event_id, pos, proc, port, idx, ctx, val_id) VALUES (?, ?, ?, ?, ?, ?, ?, ?)`); err != nil {
-		return err
-	}
-	if err := prep(&s.insOut,
-		`INSERT INTO xform_out (run_id, event_id, proc, port, idx, ctx, val_id) VALUES (?, ?, ?, ?, ?, ?, ?)`); err != nil {
-		return err
-	}
-	if err := prep(&s.insXfer,
-		`INSERT INTO xfer (run_id, from_proc, from_port, from_idx, from_ctx, to_proc, to_port, to_idx, to_ctx, val_id) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`); err != nil {
-		return err
-	}
-	return prep(&s.qValue, `SELECT payload FROM vals WHERE run_id = ? AND val_id = ?`)
+	return nil
 }
 
 // OpenMemory opens a fresh, private in-memory provenance store.
@@ -241,9 +193,7 @@ func (s *Store) migrateIndexes() error {
 // Close releases the database handle. In-memory stores also release their
 // contents.
 func (s *Store) Close() error {
-	for _, st := range []*sql.Stmt{s.qOutsPrefix, s.qOutsExact, s.qEventIns, s.qInsPrefix, s.qInsExact, s.qXfersTo, s.qValue,
-		s.qInsBatchPrefix, s.qInsBatchExact, s.qValsRange, s.qValsRangeAll,
-		s.insVal, s.insIn, s.insOut, s.insXfer} {
+	for _, st := range []*sql.Stmt{s.insVal, s.insIn, s.insOut, s.insXfer} {
 		if st != nil {
 			st.Close()
 		}
@@ -253,8 +203,8 @@ func (s *Store) Close() error {
 	return err
 }
 
-// DB exposes the database/sql handle for ad-hoc queries (used by the CLIs
-// and the benchmark harness).
+// DB exposes the database/sql handle for ad-hoc queries (used by the CLIs,
+// the benchmark harness, and the SQL oracle of the differential tests).
 func (s *Store) DB() *sql.DB { return s.db }
 
 // DSN returns the store's data source name.
@@ -303,21 +253,6 @@ func sqlEscape(s string) string {
 	return string(out)
 }
 
-// runsEstimate returns the (cached) number of stored runs. It only steers
-// the cross-run scan heuristic in ValuesBatch, so a stale value is harmless;
-// writers invalidate the cache rather than keep it exact.
-func (s *Store) runsEstimate() int64 {
-	if n := s.runsEst.Load(); n >= 0 {
-		return n
-	}
-	var n int
-	if err := s.db.QueryRow(`SELECT COUNT(*) FROM runs`).Scan(&n); err != nil {
-		return 1 << 30 // unknown: make cross-run scans look expensive
-	}
-	s.runsEst.Store(int64(n))
-	return int64(n)
-}
-
 // RunInfo describes one stored run.
 type RunInfo struct {
 	RunID    string
@@ -325,56 +260,81 @@ type RunInfo struct {
 }
 
 // ListRuns returns all stored runs.
-func (s *Store) ListRuns() ([]RunInfo, error) { return s.listRunsOn(s) }
+func (s *Store) ListRuns() ([]RunInfo, error) { return listRunsOn(s.engine()) }
 
-func (s *Store) listRunsOn(r runner) ([]RunInfo, error) {
-	rows, err := r.query(`SELECT run_id, workflow FROM runs`)
+func listRunsOn(r reader) ([]RunInfo, error) {
+	rows, err := r.selectRows("runs")
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close()
 	var out []RunInfo
-	for rows.Next() {
-		var ri RunInfo
-		if err := rows.Scan(&ri.RunID, &ri.Workflow); err != nil {
-			return nil, err
-		}
-		out = append(out, ri)
+	for _, row := range rows {
+		out = append(out, RunInfo{RunID: row[runsRun].Str(), Workflow: row[runsWorkflow].Str()})
 	}
-	return out, rows.Err()
+	return out, nil
+}
+
+// runSetOn lists the run IDs visible to r as a set.
+func runSetOn(r reader) (map[string]bool, error) {
+	rows, err := r.selectRows("runs")
+	if err != nil {
+		return nil, err
+	}
+	set := make(map[string]bool, len(rows))
+	for _, row := range rows {
+		set[row[runsRun].Str()] = true
+	}
+	return set, nil
+}
+
+// runIDs returns the cached run-ID set, building it on first use. A set
+// that a writer invalidated while it was being listed is returned to this
+// caller (it was current at some point during the call) but not cached.
+func (s *Store) runIDs() (map[string]bool, error) {
+	s.runSetMu.RLock()
+	set, gen := s.runSet, s.runGen
+	s.runSetMu.RUnlock()
+	if set != nil {
+		return set, nil
+	}
+	set, err := runSetOn(s.engine())
+	if err != nil {
+		return nil, err
+	}
+	s.runSetMu.Lock()
+	if s.runGen == gen {
+		s.runSet = set
+	}
+	s.runSetMu.Unlock()
+	return set, nil
 }
 
 // HasRun reports whether the store holds the given run. It is not counted as
 // a lineage probe: existence checks are bookkeeping, not trace access. The
-// answer comes from a cached run-ID set (built on first use, invalidated by
-// writers), so validating a large multi-run query costs one map lookup per
-// run, not one table scan per run.
+// answer comes from the cached run-ID set, so validating a large multi-run
+// query costs one map lookup per run, not one table scan per run.
 func (s *Store) HasRun(runID string) (bool, error) {
-	s.runSetMu.RLock()
-	set := s.runSet
-	s.runSetMu.RUnlock()
-	if set == nil {
-		runs, err := s.ListRuns()
-		if err != nil {
-			return false, err
-		}
-		set = make(map[string]bool, len(runs))
-		for _, ri := range runs {
-			set[ri.RunID] = true
-		}
-		s.runSetMu.Lock()
-		s.runSet = set
-		s.runSetMu.Unlock()
-	}
-	return set[runID], nil
+	set, err := s.runIDs()
+	return set[runID], err
 }
 
-// invalidateRunCaches drops the cached run count and run-ID set after a
-// mutation of the runs table.
+// runsEstimate returns the number of stored runs. It only steers the
+// cross-run scan heuristic in ValuesBatch.
+func (s *Store) runsEstimate() int64 { return runCount(s.runIDs()) }
+
+func runCount(set map[string]bool, err error) int64 {
+	if err != nil {
+		return 1 << 30 // unknown: make cross-run scans look expensive
+	}
+	return int64(len(set))
+}
+
+// invalidateRunCaches drops the cached run-ID set after a mutation of the
+// runs table.
 func (s *Store) invalidateRunCaches() {
-	s.runsEst.Store(-1)
 	s.runSetMu.Lock()
 	s.runSet = nil
+	s.runGen++
 	s.runSetMu.Unlock()
 }
 
@@ -397,27 +357,21 @@ func (s *Store) RunsOf(workflow string) ([]string, error) {
 // (pass "" for all runs). This is the metric of Table 1 of the paper: xform
 // input rows + xform output rows + xfer rows.
 func (s *Store) RecordCounts(runID string) (xformIn, xformOut, xfers int, err error) {
-	return s.recordCountsOn(s, runID)
+	return recordCountsOn(s.engine(), runID)
 }
 
-func (s *Store) recordCountsOn(r runner, runID string) (xformIn, xformOut, xfers int, err error) {
-	count := func(table string) (int, error) {
-		var n int
-		var err error
-		if runID == "" {
-			err = r.queryRow(`SELECT COUNT(*) FROM ` + table).Scan(&n)
-		} else {
-			err = r.queryRow(`SELECT COUNT(*) FROM `+table+` WHERE run_id = ?`, runID).Scan(&n)
-		}
-		return n, err
+func recordCountsOn(r reader, runID string) (xformIn, xformOut, xfers int, err error) {
+	var preds []reldb.Pred
+	if runID != "" {
+		preds = []reldb.Pred{reldb.Eq("run_id", reldb.S(runID))}
 	}
-	if xformIn, err = count("xform_in"); err != nil {
+	if xformIn, err = r.count("xform_in", preds); err != nil {
 		return
 	}
-	if xformOut, err = count("xform_out"); err != nil {
+	if xformOut, err = r.count("xform_out", preds); err != nil {
 		return
 	}
-	xfers, err = count("xfer")
+	xfers, err = r.count("xfer", preds)
 	return
 }
 

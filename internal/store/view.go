@@ -1,13 +1,10 @@
 package store
 
 import (
-	"database/sql"
-	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/colstore"
-	"repro/internal/sqlike"
+	"repro/internal/reldb"
 	"repro/internal/trace"
 	"repro/internal/value"
 )
@@ -20,41 +17,20 @@ import (
 // long-running reads (checkpointing a replica, a differential comparison, a
 // follower catch-up) coherent under live TailIngest traffic.
 //
-// A View holds one engine transaction; database/sql serializes access to it,
-// so a View is safe for concurrent use but probes through one View do not
-// parallelize. Close it promptly — a pinned epoch holds the frozen tables it
-// references alive.
+// A View is one pinned engine snapshot and nothing else: its reads are the
+// store's typed index scans run against that snapshot's frozen tables,
+// lock-free, so any number of goroutines probe through one View in parallel
+// and nothing a View does touches state past its epoch. Close it promptly —
+// a pinned epoch holds the frozen tables it references alive.
 type View struct {
-	s     *Store
-	tx    *sql.Tx
-	epoch uint64
+	s    *Store
+	snap *reldb.Snapshot
 
-	mu     sync.Mutex
-	stmts  map[*sql.Stmt]*sql.Stmt // store-prepared → tx-bound, built on demand
-	runSet map[string]bool         // lazily built; immutable once built (the data is pinned)
-
-	closed atomic.Bool
-}
-
-// runner is the execution seam between the live store and a pinned View:
-// every read helper in this package executes through one. The Store itself
-// runs statements on the connection pool (latest committed state); a View
-// rebinds them to its snapshot transaction.
-type runner interface {
-	// stmt rebinds a store-prepared statement for this runner.
-	stmt(st *sql.Stmt) *sql.Stmt
-	// query runs an ad-hoc query.
-	query(query string, args ...any) (*sql.Rows, error)
-	// queryRow runs an ad-hoc single-row query.
-	queryRow(query string, args ...any) *sql.Row
-}
-
-func (s *Store) stmt(st *sql.Stmt) *sql.Stmt { return st }
-func (s *Store) query(query string, args ...any) (*sql.Rows, error) {
-	return s.db.Query(query, args...)
-}
-func (s *Store) queryRow(query string, args ...any) *sql.Row {
-	return s.db.QueryRow(query, args...)
+	// The pinned epoch's run-ID set, built on first use; the data is pinned,
+	// so it never changes.
+	runsOnce sync.Once
+	runSet   map[string]bool
+	runsErr  error
 }
 
 // Epoch returns the latest committed engine epoch: the epoch a View opened
@@ -64,47 +40,28 @@ func (s *Store) Epoch() uint64 { return s.rdb.Epoch() }
 // View opens a snapshot-isolated read handle pinned at the latest committed
 // epoch. The caller must Close it.
 func (s *Store) View() (*View, error) {
-	tx, err := s.db.Begin()
-	if err != nil {
-		return nil, fmt.Errorf("store: opening view: %w", err)
-	}
-	var epoch uint64
-	if err := tx.QueryRow(sqlike.EpochQuery).Scan(&epoch); err != nil {
-		tx.Rollback()
-		return nil, fmt.Errorf("store: reading view epoch: %w", err)
-	}
-	return &View{s: s, tx: tx, epoch: epoch, stmts: make(map[*sql.Stmt]*sql.Stmt)}, nil
+	return &View{s: s, snap: s.rdb.Snapshot()}, nil
 }
 
 // Epoch returns the epoch this view is pinned at.
-func (v *View) Epoch() uint64 { return v.epoch }
+func (v *View) Epoch() uint64 { return v.snap.Epoch() }
 
-// Close releases the view's transaction (idempotent).
+// Close releases the view's snapshot (idempotent); reads through a closed
+// view fail with reldb.ErrSnapshotReleased.
 func (v *View) Close() error {
-	if v.closed.Swap(true) {
-		return nil
-	}
-	return v.tx.Rollback()
+	v.snap.Release()
+	return nil
 }
 
-func (v *View) stmt(st *sql.Stmt) *sql.Stmt {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if ts, ok := v.stmts[st]; ok {
-		return ts
-	}
-	ts := v.tx.Stmt(st)
-	v.stmts[st] = ts
-	return ts
+func (v *View) engine() reader { return reader{snap: v.snap} }
+
+// runIDs returns the run-ID set of the pinned epoch.
+func (v *View) runIDs() (map[string]bool, error) {
+	v.runsOnce.Do(func() { v.runSet, v.runsErr = runSetOn(v.engine()) })
+	return v.runSet, v.runsErr
 }
 
-func (v *View) query(query string, args ...any) (*sql.Rows, error) {
-	return v.tx.Query(query, args...)
-}
-
-func (v *View) queryRow(query string, args ...any) *sql.Row {
-	return v.tx.QueryRow(query, args...)
-}
+func (v *View) runsEstimate() int64 { return runCount(v.runIDs()) }
 
 // The read surface, mirroring Store's: every method answers at the pinned
 // epoch. *View satisfies the same read interfaces as *Store.
@@ -116,79 +73,64 @@ var (
 
 // XformsByOutput is Store.XformsByOutput at the pinned epoch.
 func (v *View) XformsByOutput(runID, proc, port string, idx value.Index) ([]Xform, error) {
-	return v.s.xformsByOutputOn(v, runID, proc, port, idx)
+	return v.s.xformsByOutputOn(v.engine(), runID, proc, port, idx)
 }
 
 // XformsByInput is Store.XformsByInput at the pinned epoch.
 func (v *View) XformsByInput(runID, proc, port string, idx value.Index) ([]ForwardXform, error) {
-	return v.s.xformsByInputOn(v, runID, proc, port, idx)
+	return v.s.xformsByInputOn(v.engine(), runID, proc, port, idx)
 }
 
 // XfersTo is Store.XfersTo at the pinned epoch.
 func (v *View) XfersTo(runID, proc, port string) ([]Xfer, error) {
-	return v.s.xfersToOn(v, runID, proc, port)
+	return v.s.xfersOn(v.engine(), v.s.scans.xfersTo, runID, proc, port)
 }
 
 // XfersFrom is Store.XfersFrom at the pinned epoch.
 func (v *View) XfersFrom(runID, proc, port string) ([]Xfer, error) {
-	return v.s.xfersFromOn(v, runID, proc, port)
+	return v.s.xfersOn(v.engine(), v.s.scans.xfersFrom, runID, proc, port)
 }
 
 // InputBindings is Store.InputBindings at the pinned epoch.
 func (v *View) InputBindings(runID, proc, port string, idx value.Index) ([]Binding, error) {
-	return v.s.inputBindingsOn(v, runID, proc, port, idx)
+	return v.s.inputBindingsOn(v.engine(), runID, proc, port, idx)
 }
 
 // InputBindingsBatch is Store.InputBindingsBatch at the pinned epoch.
 func (v *View) InputBindingsBatch(runIDs []string, proc, port string, idx value.Index) (map[string][]Binding, error) {
-	return v.s.inputBindingsBatchOn(v, runIDs, proc, port, idx)
+	return v.s.inputBindingsBatchOn(v.engine(), runIDs, proc, port, idx)
 }
 
 // Value is Store.Value at the pinned epoch.
 func (v *View) Value(runID string, valID int64) (value.Value, error) {
-	return v.s.valueOn(v, runID, valID)
+	return v.s.valueOn(v.engine(), runID, valID)
 }
 
 // ValuesBatch is Store.ValuesBatch at the pinned epoch.
 func (v *View) ValuesBatch(refs []ValueRef) (map[ValueRef]value.Value, error) {
-	return v.s.valuesBatchOn(v, refs)
+	return v.s.valuesBatchOn(v.engine(), v.runsEstimate, refs)
 }
 
 // HasRun reports whether the pinned epoch holds the given run. The run set
 // is built once per view (the pinned data cannot change), so multi-run
 // validation costs one map lookup per run.
 func (v *View) HasRun(runID string) (bool, error) {
-	v.mu.Lock()
-	set := v.runSet
-	v.mu.Unlock()
-	if set == nil {
-		runs, err := v.ListRuns()
-		if err != nil {
-			return false, err
-		}
-		set = make(map[string]bool, len(runs))
-		for _, ri := range runs {
-			set[ri.RunID] = true
-		}
-		v.mu.Lock()
-		v.runSet = set
-		v.mu.Unlock()
-	}
-	return set[runID], nil
+	set, err := v.runIDs()
+	return set[runID], err
 }
 
 // ListRuns is Store.ListRuns at the pinned epoch.
-func (v *View) ListRuns() ([]RunInfo, error) { return v.s.listRunsOn(v) }
+func (v *View) ListRuns() ([]RunInfo, error) { return listRunsOn(v.engine()) }
 
 // RecordCounts is Store.RecordCounts at the pinned epoch.
 func (v *View) RecordCounts(runID string) (xformIn, xformOut, xfers int, err error) {
-	return v.s.recordCountsOn(v, runID)
+	return recordCountsOn(v.engine(), runID)
 }
 
 // LoadTrace is Store.LoadTrace at the pinned epoch: the trace as of the
 // view's epoch, even while later events for the same run are streaming in.
 func (v *View) LoadTrace(runID string) (*trace.Trace, error) {
-	return v.s.loadTraceOn(v, runID)
+	return loadTraceOn(v.engine(), runID)
 }
 
 // pinnedSegment returns the run's column segment only when it is provably
@@ -200,7 +142,7 @@ func (v *View) pinnedSegment(runID string) *colstore.Segment {
 	v.s.segMu.RLock()
 	defer v.s.segMu.RUnlock()
 	seg := v.s.segs[runID]
-	if seg == nil || v.s.segEpoch[runID] > v.epoch {
+	if seg == nil || v.s.segEpoch[runID] > v.Epoch() {
 		return nil
 	}
 	return seg
@@ -212,7 +154,7 @@ func (v *View) ColScanAvailable() bool {
 	v.s.segMu.RLock()
 	defer v.s.segMu.RUnlock()
 	for runID, e := range v.s.segEpoch {
-		if _, ok := v.s.segs[runID]; ok && e <= v.epoch {
+		if _, ok := v.s.segs[runID]; ok && e <= v.Epoch() {
 			return true
 		}
 	}
