@@ -486,3 +486,60 @@ func BenchmarkStoreProbeView(b *testing.B) {
 		return v, func() { v.Close() }
 	})
 }
+
+// valueSink keeps the benchmarked value's element alive.
+var valueSink value.Value
+
+// listPayload is the stored form of a d-element list like the testbed's.
+func listPayload(d int) string {
+	elems := make([]string, d)
+	for i := range elems {
+		elems[i] = fmt.Sprintf("item-%d", i)
+	}
+	return value.Encode(value.Strs(elems...))
+}
+
+// BenchmarkValueDecode times the full decode of a d-element stored list:
+// what any accessor other than At costs, once, on a payload-backed list.
+func BenchmarkValueDecode(b *testing.B) {
+	for _, d := range []int{10, 50, 150} {
+		payload := listPayload(d)
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v, err := value.Decode(payload)
+				if err != nil {
+					b.Fatal(err)
+				}
+				valueSink = v
+			}
+		})
+	}
+}
+
+// BenchmarkValueElement times what one returned binding pays for its
+// element: eager Decode + At against DecodeStored + At on the payload.
+func BenchmarkValueElement(b *testing.B) {
+	for _, d := range []int{10, 50, 150} {
+		payload := listPayload(d)
+		for _, mode := range []struct {
+			name   string
+			decode func(string) (value.Value, error)
+		}{{"eager", value.Decode}, {"payload", value.DecodeStored}} {
+			b.Run(fmt.Sprintf("d=%d/%s", d, mode.name), func(b *testing.B) {
+				b.ReportAllocs()
+				path := value.Ix(0)
+				for i := 0; i < b.N; i++ {
+					path[0] = i % d
+					v, err := mode.decode(payload)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if valueSink, err = v.At(path); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -6,7 +6,9 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/server"
 )
@@ -27,6 +29,11 @@ func TestServerMatchesCLIByteForByte(t *testing.T) {
 	// Seed tenant t0's store through the CLI itself.
 	id1 := runID(t, mustCLI(t, "run", "-store", dsn, "-wf", "testbed", "-l", "4", "-d", "3"))
 	id2 := runID(t, mustCLI(t, "run", "-store", dsn, "-wf", "testbed", "-l", "4", "-d", "2"))
+	// A gene ID of 135 bytes in 3-byte runes: its rendering is clipped at
+	// byte 100, which falls inside a rune.
+	wideGene := strings.Repeat("遺伝子", 15)
+	idWide := runID(t, mustCLI(t, "run", "-store", dsn, "-wf", "gk",
+		"-inputs", `{"list_of_geneIDList": [["`+wideGene+`","mmu:2"],["mmu:3"]]}`))
 
 	srv, err := server.New(server.Config{
 		StoreTemplate: "file:" + filepath.Join(dir, "{tenant}.db"),
@@ -92,6 +99,13 @@ func TestServerMatchesCLIByteForByte(t *testing.T) {
 				"binding": {"workflow:product[0,0]"}, "focus": {"LISTGEN_1"}},
 		},
 		{
+			name: "clipped-multibyte-element",
+			cli: []string{"query", "-store", dsn, "-run", idWide,
+				"-binding", "workflow:paths_per_gene[0,0]", "-focus", "get_pathways_by_genes"},
+			params: url.Values{"run": {idWide}, "binding": {"workflow:paths_per_gene[0,0]"},
+				"focus": {"get_pathways_by_genes"}},
+		},
+		{
 			name: "novalues",
 			cli: []string{"query", "-store", dsn, "-run", id2, "-l", "4",
 				"-binding", "2TO1_FINAL:product[0,0]", "-focus", "LISTGEN_1", "-values=false"},
@@ -105,6 +119,9 @@ func TestServerMatchesCLIByteForByte(t *testing.T) {
 			got := serverBody(tc.params)
 			if got != want {
 				t.Errorf("server response != CLI output\nCLI:\n%s\nserver:\n%s", want, got)
+			}
+			if !utf8.ValidString(got) {
+				t.Errorf("response is not valid UTF-8:\n%q", got)
 			}
 		})
 	}

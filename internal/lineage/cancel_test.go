@@ -3,14 +3,12 @@ package lineage
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/store"
 	"repro/internal/value"
@@ -28,27 +26,7 @@ import (
 // pieces needed to build evaluators over them.
 func cancelEnv(t *testing.T, nRuns int) (*store.Store, *workflow.Workflow, []string) {
 	t.Helper()
-	wf := gen.Testbed(8)
-	reg := engine.NewRegistry()
-	gen.RegisterTestbed(reg)
-	eng := engine.New(reg)
-	s, err := store.OpenMemory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs := make([]string, 0, nRuns)
-	for r := 0; r < nRuns; r++ {
-		runID := fmt.Sprintf("c%03d", r)
-		_, tr, err := eng.RunTrace(wf, runID, gen.TestbedInputs(6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.StoreTrace(tr); err != nil {
-			t.Fatal(err)
-		}
-		runs = append(runs, runID)
-	}
-	return s, wf, runs
+	return testbedEnv(t, 8, 6, nRuns)
 }
 
 func lineageWaitNoLeaks(t *testing.T, baseline int) {

@@ -92,58 +92,31 @@ func (ip *IndexProj) colScanner(nRuns int, opt MultiRunOptions) store.ColumnScan
 	return cs
 }
 
-// executeColScanChunk is the vectorized probe stage: one probe against one
-// chunk of runs, answered from column segments where possible and from the
-// batched row probes for the rest, then one batched value fetch. Binding
-// order per run matches the row path exactly, so results are byte-identical.
-// Column segments load lazily from disk at query time, so threading ctx
-// through (store.ContextColumnScanner) is what bounds a stalled disk here.
-func (ip *IndexProj) executeColScanChunk(ctx context.Context, result *Result, pr Probe, runIDs []string, cs store.ColumnScanner) error {
+// colScanBindings is the vectorized probe stage: one probe against one chunk
+// of runs, answered from column segments where possible and from the batched
+// row probes for the rest. Binding order per run matches the row path
+// exactly, so results are byte-identical. Column segments load lazily from
+// disk at query time, so threading ctx through (store.ContextColumnScanner)
+// is what bounds a stalled disk here.
+func (ip *IndexProj) colScanBindings(ctx context.Context, pr Probe, runIDs []string, cs store.ColumnScanner) (byRun map[string][]store.Binding, err error) {
 	mrColScanChunks.Add(1)
-	var (
-		byRun   map[string][]store.Binding
-		missing []string
-		err     error
-	)
+	var missing []string
 	if ccs, ok := cs.(store.ContextColumnScanner); ok {
 		byRun, missing, err = ccs.ColScanBindingsCtx(ctx, runIDs, pr.Proc, pr.Port, pr.Index)
 	} else {
 		byRun, missing, err = cs.ColScanBindings(runIDs, pr.Proc, pr.Port, pr.Index)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(missing) > 0 {
 		sub, err := ip.inputBindingsBatch(ctx, missing, pr.Proc, pr.Port, pr.Index)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for r, bs := range sub {
 			byRun[r] = bs
 		}
 	}
-	var staged []Entry
-	var refs []store.ValueRef
-	for _, runID := range runIDs {
-		for _, b := range byRun[runID] {
-			staged = append(staged, Entry{RunID: b.RunID, Proc: b.Proc, Port: b.Port, Index: b.Index, Ctx: b.Ctx})
-			refs = append(refs, store.ValueRef{RunID: b.RunID, ValID: b.ValID})
-		}
-	}
-	if len(staged) == 0 {
-		return nil
-	}
-	vals, err := ip.valuesBatch(ctx, refs)
-	if err != nil {
-		return err
-	}
-	for i := range staged {
-		v, ok := vals[refs[i]]
-		if !ok {
-			return fmt.Errorf("lineage: missing value %d in run %q", refs[i].ValID, refs[i].RunID)
-		}
-		staged[i].Value = v
-		result.Add(staged[i])
-	}
-	return nil
+	return byRun, nil
 }

@@ -71,6 +71,10 @@ func TestDifferentialExecutorsAndCounters(t *testing.T) {
 			}
 		}
 
+		// Column segments for every run, so ColScanOn below really scans them.
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
 		ni := NewNaive(s)
 		ip, err := NewIndexProj(s, w)
 		if err != nil {
@@ -118,7 +122,16 @@ func TestDifferentialExecutorsAndCounters(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: NI multi-run: %v", trial, err)
 			}
-			b, err := ip.LineageMultiRun(runIDs, query.proc, query.port, query.idx, focus)
+			// bindingsOf runs one INDEXPROJ execution and returns, with its
+			// answer, how many bindings it counted.
+			bindingsOf := func(run func() (*Result, error)) (*Result, int64, error) {
+				before := obs.Default.Snapshot()
+				res, err := run()
+				return res, obs.Default.Snapshot().Sub(before).Counter("lineage.indexproj.bindings"), err
+			}
+			b, seqBindings, err := bindingsOf(func() (*Result, error) {
+				return ip.LineageMultiRun(runIDs, query.proc, query.port, query.idx, focus)
+			})
 			if err != nil {
 				t.Fatalf("trial %d: INDEXPROJ multi-run: %v\nquery %s:%s%v focus %v\nworkflow: %s",
 					trial, err, query.proc, query.port, query.idx, focus.Names(), mustJSON(w))
@@ -127,9 +140,30 @@ func TestDifferentialExecutorsAndCounters(t *testing.T) {
 				Parallelism: 1 + rng.Intn(4),
 				BatchSize:   rng.Intn(3), // 0 = default, 1 = per-run, 2 = pairs
 			}
-			c, err := ip.LineageMultiRunParallel(context.Background(), runIDs, query.proc, query.port, query.idx, focus, opt)
+			c, _, err := bindingsOf(func() (*Result, error) {
+				return ip.LineageMultiRunParallel(context.Background(), runIDs, query.proc, query.port, query.idx, focus, opt)
+			})
 			if err != nil {
 				t.Fatalf("trial %d: parallel multi-run: %v", trial, err)
+			}
+			// The bindings count belongs to the query, not to how it was run:
+			// per-run, batched and column-scan chunks, pooled or in line.
+			for _, how := range []MultiRunOptions{
+				opt,
+				{Parallelism: 1, BatchSize: 1, ColScan: ColScanOff},
+				{Parallelism: 3, BatchSize: 2, ColScan: ColScanOff},
+				{Parallelism: 2, ColScan: ColScanOn},
+			} {
+				res, got, err := bindingsOf(func() (*Result, error) {
+					return ip.LineageMultiRunParallel(context.Background(), runIDs, query.proc, query.port, query.idx, focus, how)
+				})
+				if err != nil {
+					t.Fatalf("trial %d: parallel(%+v): %v", trial, how, err)
+				}
+				if got != seqBindings || !res.Equal(b) {
+					t.Fatalf("trial %d: parallel(%+v) counted %d bindings (same answer: %v), sequential counted %d\nquery %s:%s%v focus %v",
+						trial, how, got, res.Equal(b), seqBindings, query.proc, query.port, query.idx, focus.Names())
+				}
 			}
 			if !a.Equal(b) {
 				t.Fatalf("trial %d: NI %v != INDEXPROJ %v\nquery %s:%s%v focus %v\nworkflow: %s",

@@ -1,6 +1,8 @@
 package lineage
 
 import (
+	"context"
+
 	"repro/internal/store"
 	"repro/internal/value"
 )
@@ -48,15 +50,12 @@ func (im *Impact) Affected(runID, proc, port string, idx value.Index, focus Focu
 			return nil, err
 		}
 		for _, ev := range events {
-			collect := focus[ev.Proc]
-			for _, out := range ev.Outputs {
-				if collect {
-					v, err := im.s.Value(out.RunID, out.ValID)
-					if err != nil {
-						return nil, err
-					}
-					result.Add(Entry{RunID: out.RunID, Proc: out.Proc, Port: out.Port, Index: out.Index, Ctx: out.Ctx, Value: v})
+			if focus[ev.Proc] {
+				if err := materialize(context.TODO(), im.s, result, ev.Outputs); err != nil {
+					return nil, err
 				}
+			}
+			for _, out := range ev.Outputs {
 				push(node{proc: out.Proc, port: out.Port, idx: out.Index})
 			}
 		}
@@ -72,11 +71,11 @@ func (im *Impact) Affected(runID, proc, port string, idx value.Index, focus Focu
 				continue
 			}
 			if focus[xf.To.Proc] && isSinkPseudo(xf.To.Proc) {
-				v, err := im.s.Value(xf.To.RunID, xf.To.ValID)
-				if err != nil {
+				sink := xf.To
+				sink.Index = down
+				if err := materialize(context.TODO(), im.s, result, []store.Binding{sink}); err != nil {
 					return nil, err
 				}
-				result.Add(Entry{RunID: xf.To.RunID, Proc: xf.To.Proc, Port: xf.To.Port, Index: down, Ctx: xf.To.Ctx, Value: v})
 			}
 			push(node{proc: xf.To.Proc, port: xf.To.Port, idx: down})
 		}

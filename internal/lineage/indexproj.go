@@ -1,6 +1,7 @@
 package lineage
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -169,24 +170,25 @@ func (ip *IndexProj) Execute(plan *CompiledPlan, runID string) (*Result, error) 
 func (ip *IndexProj) executeInto(result *Result, plan *CompiledPlan, runID string) error {
 	sp := obs.Start(ipProbeNs)
 	defer sp.End()
-	var added int64
 	for _, pr := range plan.Probes {
 		bs, err := ip.q.InputBindings(runID, pr.Proc, pr.Port, pr.Index)
 		if err != nil {
 			return err
 		}
-		for _, b := range bs {
-			v, err := ip.q.Value(b.RunID, b.ValID)
-			if err != nil {
-				return err
-			}
-			result.Add(Entry{RunID: b.RunID, Proc: b.Proc, Port: b.Port, Index: b.Index, Ctx: b.Ctx, Value: v})
-			added++
+		if err := ip.materialize(context.TODO(), result, bs); err != nil {
+			return err
 		}
 	}
 	ipProbes.Add(int64(len(plan.Probes)))
-	ipBindings.Add(added)
 	return nil
+}
+
+// materialize is materialize for this evaluator's store, and the one place
+// that counts the bindings INDEXPROJ probes matched — on every executor, so
+// the count does not depend on how a query was run.
+func (ip *IndexProj) materialize(ctx context.Context, result *Result, bs []store.Binding) error {
+	ipBindings.Add(int64(len(bs)))
+	return materialize(ctx, ip.q, result, bs)
 }
 
 // CacheSize returns the number of compiled plans in this evaluator's private

@@ -1,6 +1,7 @@
 package lineage
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"time"
@@ -93,7 +94,7 @@ func (n *Naive) lineageInto(result *Result, runID, proc, port string, idx value.
 	// NI's cost splits into graph traversal (the store queries walking the
 	// extensional provenance graph) and value materialization — its analogue
 	// of INDEXPROJ's probe phase. The materialization time is accumulated in
-	// probeNs by addEntry and subtracted from the loop's wall time, so
+	// probeNs around materialize and subtracted from the loop's wall time, so
 	// traverse_ns + probe_ns never exceeds the whole traversal.
 	var probeNs int64
 	var nodes int64
@@ -123,13 +124,20 @@ func (n *Naive) lineageInto(result *Result, runID, proc, port string, idx value.
 			return err
 		}
 		for _, ev := range events {
-			collect := focus[ev.Proc]
-			for _, in := range ev.Inputs {
-				if collect {
-					if err := n.addEntry(result, in, &probeNs); err != nil {
-						return err
-					}
+			if focus[ev.Proc] {
+				var m0 time.Time
+				if obs.Enabled() {
+					m0 = time.Now()
 				}
+				err := materialize(context.TODO(), n.s, result, ev.Inputs)
+				if obs.Enabled() {
+					probeNs += time.Since(m0).Nanoseconds()
+				}
+				if err != nil {
+					return fmt.Errorf("lineage: %w", err)
+				}
+			}
+			for _, in := range ev.Inputs {
 				push(node{proc: in.Proc, port: in.Port, idx: in.Index})
 			}
 		}
@@ -178,21 +186,4 @@ func translateAcrossXfer(queryIdx, toIdx, fromIdx value.Index) (value.Index, boo
 	default:
 		return nil, false
 	}
-}
-
-func (n *Naive) addEntry(result *Result, b store.Binding, probeNs *int64) error {
-	var t0 time.Time
-	timed := obs.Enabled()
-	if timed {
-		t0 = time.Now()
-	}
-	v, err := n.s.Value(b.RunID, b.ValID)
-	if timed {
-		*probeNs += time.Since(t0).Nanoseconds()
-	}
-	if err != nil {
-		return fmt.Errorf("lineage: %w", err)
-	}
-	result.Add(Entry{RunID: b.RunID, Proc: b.Proc, Port: b.Port, Index: b.Index, Ctx: b.Ctx, Value: v})
-	return nil
 }

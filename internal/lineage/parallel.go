@@ -266,64 +266,34 @@ func isCancellation(err error) bool {
 }
 
 // executeProbeChunk answers one probe for one chunk of runs. With a column
-// scanner selected (cs non-nil), the chunk goes through the vectorized stage
-// (see executeColScanChunk); otherwise run-by-run for singleton chunks
-// (exactly the sequential single-run executor's store accesses), batched
-// otherwise — one index-range scan stages the bindings of every run, then
-// one batched fetch materializes their values. Stores that implement the
-// ctx-bounded querier variants (a replicated sharded store) get the caller's
-// deadline threaded through, so a stalled replica cannot hold the chunk past
-// it.
+// scanner selected (cs non-nil), the bindings come from the vectorized stage
+// (see colScanBindings); otherwise run-by-run for singleton chunks (exactly
+// the sequential single-run executor's store accesses), batched otherwise —
+// one index-range scan stages the bindings of every run. Stores with
+// ctx-bounded reads (a replicated sharded store) get the caller's deadline,
+// so a stalled replica cannot hold the chunk past it.
 func (ip *IndexProj) executeProbeChunk(ctx context.Context, result *Result, pr Probe, runIDs []string, cs store.ColumnScanner) error {
 	sp := obs.Start(ipProbeNs)
 	defer sp.End()
 	ipProbes.Add(1)
-	if cs != nil {
-		return ip.executeColScanChunk(ctx, result, pr, runIDs, cs)
+	var bs []store.Binding // the chunk's bindings, in the chunk's run order
+	var byRun map[string][]store.Binding
+	var err error
+	switch {
+	case cs != nil:
+		byRun, err = ip.colScanBindings(ctx, pr, runIDs, cs)
+	case len(runIDs) == 1:
+		bs, err = ip.inputBindings(ctx, runIDs[0], pr.Proc, pr.Port, pr.Index)
+	default:
+		byRun, err = ip.inputBindingsBatch(ctx, runIDs, pr.Proc, pr.Port, pr.Index)
 	}
-	if len(runIDs) == 1 {
-		bs, err := ip.inputBindings(ctx, runIDs[0], pr.Proc, pr.Port, pr.Index)
-		if err != nil {
-			return err
-		}
-		for _, b := range bs {
-			v, err := ip.value(ctx, b.RunID, b.ValID)
-			if err != nil {
-				return err
-			}
-			result.Add(Entry{RunID: b.RunID, Proc: b.Proc, Port: b.Port, Index: b.Index, Ctx: b.Ctx, Value: v})
-		}
-		return nil
-	}
-
-	byRun, err := ip.inputBindingsBatch(ctx, runIDs, pr.Proc, pr.Port, pr.Index)
 	if err != nil {
 		return err
 	}
-	var staged []Entry
-	var refs []store.ValueRef
 	for _, runID := range runIDs {
-		for _, b := range byRun[runID] {
-			staged = append(staged, Entry{RunID: b.RunID, Proc: b.Proc, Port: b.Port, Index: b.Index, Ctx: b.Ctx})
-			refs = append(refs, store.ValueRef{RunID: b.RunID, ValID: b.ValID})
-		}
+		bs = append(bs, byRun[runID]...)
 	}
-	if len(staged) == 0 {
-		return nil
-	}
-	vals, err := ip.valuesBatch(ctx, refs)
-	if err != nil {
-		return err
-	}
-	for i := range staged {
-		v, ok := vals[refs[i]]
-		if !ok {
-			return fmt.Errorf("lineage: missing value %d in run %q", refs[i].ValID, refs[i].RunID)
-		}
-		staged[i].Value = v
-		result.Add(staged[i])
-	}
-	return nil
+	return ip.materialize(ctx, result, bs)
 }
 
 // The ctx-threading querier helpers: each prefers the store's ctx-bounded
@@ -341,20 +311,6 @@ func (ip *IndexProj) inputBindingsBatch(ctx context.Context, runIDs []string, pr
 		return cq.InputBindingsBatchCtx(ctx, runIDs, proc, port, idx)
 	}
 	return ip.q.InputBindingsBatch(runIDs, proc, port, idx)
-}
-
-func (ip *IndexProj) value(ctx context.Context, runID string, valID int64) (value.Value, error) {
-	if cq, ok := ip.q.(store.ContextLineageQuerier); ok {
-		return cq.ValueCtx(ctx, runID, valID)
-	}
-	return ip.q.Value(runID, valID)
-}
-
-func (ip *IndexProj) valuesBatch(ctx context.Context, refs []store.ValueRef) (map[store.ValueRef]value.Value, error) {
-	if cq, ok := ip.q.(store.ContextLineageQuerier); ok {
-		return cq.ValuesBatchCtx(ctx, refs)
-	}
-	return ip.q.ValuesBatch(refs)
 }
 
 // dedupRuns returns runIDs with duplicates removed, preserving first-seen

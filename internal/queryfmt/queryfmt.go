@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/lineage"
 	"repro/internal/value"
@@ -61,10 +62,14 @@ func DisplayProc(proc string) string {
 	return proc
 }
 
-// Truncate clips s to at most n bytes, marking the cut with an ellipsis.
+// Truncate clips s to at most n bytes, marking the cut with an ellipsis. The
+// cut falls on a rune boundary, so valid UTF-8 stays valid.
 func Truncate(s string, n int) string {
 	if len(s) <= n {
 		return s
+	}
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
 	}
 	return s[:n] + "..."
 }

@@ -163,8 +163,8 @@ func (s *Store) valuesBatchOn(r reader, runs func() int64, refs []ValueRef) (map
 
 	// Runs of a deterministic workflow intern identical payloads (values are
 	// deduplicated per run, not across runs), so a batch spanning many runs
-	// decodes the same payload over and over — decode each distinct payload
-	// once and share the resulting Value (callers treat values as immutable).
+	// sees the same payload over and over — validate each distinct payload
+	// once and share the Value and its decode memo (values are immutable).
 	decoded := make(map[string]value.Value)
 	dec := func(payload string) (value.Value, error) {
 		if v, ok := decoded[payload]; ok {
@@ -172,7 +172,7 @@ func (s *Store) valuesBatchOn(r reader, runs func() int64, refs []ValueRef) (map
 			return v, nil
 		}
 		obsValueMisses.Add(1)
-		v, err := value.Decode(payload)
+		v, err := value.DecodeStored(payload)
 		if err == nil {
 			decoded[payload] = v
 		}

@@ -225,7 +225,7 @@ func (s *Store) valueOn(r reader, runID string, valID int64) (value.Value, error
 	if err != nil {
 		return value.Value{}, err
 	}
-	return value.Decode(payload)
+	return value.DecodeStored(payload)
 }
 
 // payloadOn fetches one stored value's encoded payload: a point probe of

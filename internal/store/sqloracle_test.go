@@ -341,12 +341,13 @@ func checkAgainstOracle(t *testing.T, what string, s *Store, d directReads, o sq
 					t.Fatalf("%s: binding %v references a value the oracle cannot find", what, b)
 				}
 				got, err := d.Value(run, b.ValID)
-				same("Value", got, v, err, ref)
+				same("Value", value.Encode(got), value.Encode(v), err, ref)
+				same("Value", value.Equal(got, v), true, err, ref)
 				refs, want[ref] = append(refs, ref), v
 			}
 		}
 		vals, err := d.ValuesBatch(refs)
-		same("ValuesBatch", vals, want, err, refs)
+		same("ValuesBatch", sameValues(vals, want), true, err, refs)
 	}
 
 	// A value no run holds is an error on both sides.

@@ -19,8 +19,8 @@ import (
 //	float  = decimal containing "." or exponent (always printed with one)
 //	bool   = "true" | "false"
 //
-// The encoding is canonical: Encode(Decode(s)) == s for every valid s, and
-// Decode(Encode(v)) == v for every value v.
+// The encoding is canonical: Encode(Decode(s)) == s for every s that Encode
+// produced, and Decode(Encode(v)) == v for every value v.
 
 // Encode renders v in the canonical textual encoding.
 func Encode(v Value) string { return v.String() }
@@ -28,6 +28,10 @@ func Encode(v Value) string { return v.String() }
 func encode(sb *strings.Builder, v Value) {
 	switch v.k {
 	case kindList:
+		if v.lazy != nil {
+			sb.WriteString(v.s)
+			return
+		}
 		sb.WriteByte('[')
 		for i, e := range v.elems {
 			if i > 0 {
@@ -65,29 +69,51 @@ func encode(sb *strings.Builder, v Value) {
 	}
 }
 
+// plainByte marks the bytes strconv.Quote copies unchanged: printable ASCII
+// other than '"' and '\\'.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c <= 0x7e; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
 // quoteSafe reports whether strconv.Quote(s) == `"` + s + `"`: every byte is
 // printable ASCII and needs no escaping.
 func quoteSafe(s string) bool {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+		if !plainByte[s[i]] {
 			return false
 		}
 	}
 	return true
 }
 
-// Decode parses the canonical textual encoding back into a value.
+// Decode parses a textual encoding from outside the program (tail events,
+// workflow JSON defaults, literals) into a fully built value. It accepts the
+// spellings the grammar allows beyond the canonical one — whitespace around
+// elements, `1e3`, `"\u0041"` — so Encode(Decode(s)) is canonical even when
+// s is not.
 func Decode(s string) (Value, error) {
-	p := &decoder{src: s}
-	v, err := p.value()
-	if err != nil {
+	p := decoder{src: s}
+	return p.whole()
+}
+
+// DecodeStored wraps a payload the provenance store persisted, which is
+// canonical because Encode wrote it. An atom is decoded; a list is validated
+// in one pass that builds nothing — a malformed payload is rejected here,
+// never at first use — and comes back payload-backed (see payload.go).
+// Whitespace is not canonical and is rejected, because At later walks the
+// text as it stands.
+func DecodeStored(payload string) (Value, error) {
+	if !strings.HasPrefix(payload, "[") {
+		return Decode(payload)
+	}
+	p := decoder{src: payload, dry: true}
+	if _, err := p.whole(); err != nil {
 		return Value{}, err
 	}
-	p.skipSpace()
-	if p.pos != len(p.src) {
-		return Value{}, fmt.Errorf("value: trailing garbage at offset %d in %q", p.pos, s)
-	}
-	return v, nil
+	return payloadList(payload), nil
 }
 
 // MustDecode is like Decode but panics on error; for use with literals.
@@ -102,10 +128,26 @@ func MustDecode(s string) Value {
 type decoder struct {
 	src string
 	pos int
+	// dry makes the pass a validation: lists are checked but not built, and
+	// no whitespace is skipped.
+	dry bool
+}
+
+// whole parses the entire input as one value.
+func (p *decoder) whole() (Value, error) {
+	var v Value
+	if err := p.value(&v); err != nil {
+		return Value{}, err
+	}
+	p.skipSpace()
+	if p.pos != len(p.src) {
+		return Value{}, fmt.Errorf("value: trailing garbage at offset %d in %q", p.pos, p.src)
+	}
+	return v, nil
 }
 
 func (p *decoder) skipSpace() {
-	for p.pos < len(p.src) {
+	for !p.dry && p.pos < len(p.src) {
 		switch p.src[p.pos] {
 		case ' ', '\t', '\n', '\r':
 			p.pos++
@@ -115,91 +157,140 @@ func (p *decoder) skipSpace() {
 	}
 }
 
-func (p *decoder) value() (Value, error) {
+// value parses the value at p.pos into *out. The parse functions fill a slot
+// instead of returning a Value so that a list's elements are built in place.
+func (p *decoder) value(out *Value) error {
 	p.skipSpace()
 	if p.pos >= len(p.src) {
-		return Value{}, fmt.Errorf("value: unexpected end of input")
+		return fmt.Errorf("value: unexpected end of input")
 	}
 	switch c := p.src[p.pos]; {
 	case c == '[':
-		return p.list()
+		return p.list(out)
 	case c == '"':
-		return p.quoted()
+		return p.quoted(out)
 	case c == 't' || c == 'f':
-		return p.boolean()
+		return p.boolean(out)
 	case c == '-' || (c >= '0' && c <= '9'):
-		return p.number()
+		return p.number(out)
 	default:
-		return Value{}, fmt.Errorf("value: unexpected character %q at offset %d", c, p.pos)
+		return fmt.Errorf("value: unexpected character %q at offset %d", c, p.pos)
 	}
 }
 
-func (p *decoder) list() (Value, error) {
+func (p *decoder) list(out *Value) error {
 	p.pos++ // consume '['
-	var elems []Value
 	p.skipSpace()
 	if p.pos < len(p.src) && p.src[p.pos] == ']' {
 		p.pos++
-		return List(), nil
+		*out = List()
+		return nil
+	}
+	var elems []Value
+	if !p.dry {
+		// Sized from a count of the separators ahead (exact on well-formed
+		// input), so a long list is one allocation, not a chain of regrowths.
+		elems = make([]Value, 0, countElems(p.src, p.pos))
 	}
 	for {
-		e, err := p.value()
-		if err != nil {
-			return Value{}, err
+		slot := out // a dry pass keeps nothing: every element lands on out
+		if !p.dry {
+			elems = append(elems, Value{})
+			slot = &elems[len(elems)-1]
 		}
-		elems = append(elems, e)
+		if err := p.value(slot); err != nil {
+			return err
+		}
 		p.skipSpace()
 		if p.pos >= len(p.src) {
-			return Value{}, fmt.Errorf("value: unterminated list")
+			return fmt.Errorf("value: unterminated list")
 		}
 		switch p.src[p.pos] {
 		case ',':
 			p.pos++
 		case ']':
 			p.pos++
-			return List(elems...), nil
+			*out = List(elems...)
+			return nil
 		default:
-			return Value{}, fmt.Errorf("value: expected ',' or ']' at offset %d", p.pos)
+			return fmt.Errorf("value: expected ',' or ']' at offset %d", p.pos)
 		}
 	}
 }
 
-func (p *decoder) quoted() (Value, error) {
+func (p *decoder) quoted(out *Value) error {
+	src, start := p.src, p.pos
+	i := start + 1
+	for i < len(src) && plainByte[src[i]] {
+		i++
+	}
+	if i < len(src) && src[i] == '"' {
+		// Nothing was escaped (the inverse of encode's quoteSafe fast path):
+		// the body is the string, and the value shares the input's storage.
+		p.pos = i + 1
+		if !p.dry {
+			*out = Str(src[start+1 : i])
+		}
+		return nil
+	}
 	// Find the end of the Go-quoted literal, honouring escapes.
-	start := p.pos
-	i := p.pos + 1
-	for i < len(p.src) {
-		switch p.src[i] {
+	for i < len(src) {
+		switch src[i] {
 		case '\\':
 			i += 2
 		case '"':
 			i++
-			s, err := strconv.Unquote(p.src[start:i])
-			if err != nil {
-				return Value{}, fmt.Errorf("value: bad string literal at offset %d: %v", start, err)
-			}
 			p.pos = i
-			return Str(s), nil
+			if p.dry {
+				if err := checkQuoted(src[start+1 : i-1]); err != nil {
+					return fmt.Errorf("value: bad string literal at offset %d: %v", start, err)
+				}
+				return nil
+			}
+			s, err := strconv.Unquote(src[start:i])
+			if err != nil {
+				return fmt.Errorf("value: bad string literal at offset %d: %v", start, err)
+			}
+			*out = Str(s)
+			return nil
 		default:
 			i++
 		}
 	}
-	return Value{}, fmt.Errorf("value: unterminated string literal at offset %d", start)
+	return fmt.Errorf("value: unterminated string literal at offset %d", start)
 }
 
-func (p *decoder) boolean() (Value, error) {
+// checkQuoted reports whether strconv.Unquote accepts body between double
+// quotes, without building the string.
+func checkQuoted(body string) error {
+	for len(body) > 0 {
+		if body[0] == '\n' {
+			return strconv.ErrSyntax
+		}
+		_, _, tail, err := strconv.UnquoteChar(body, '"')
+		if err != nil {
+			return err
+		}
+		body = tail
+	}
+	return nil
+}
+
+func (p *decoder) boolean(out *Value) error {
 	if strings.HasPrefix(p.src[p.pos:], "true") {
 		p.pos += 4
-		return Bool(true), nil
+		*out = Bool(true)
+		return nil
 	}
 	if strings.HasPrefix(p.src[p.pos:], "false") {
 		p.pos += 5
-		return Bool(false), nil
+		*out = Bool(false)
+		return nil
 	}
-	return Value{}, fmt.Errorf("value: bad literal at offset %d", p.pos)
+	return fmt.Errorf("value: bad literal at offset %d", p.pos)
 }
 
-func (p *decoder) number() (Value, error) {
+func (p *decoder) number(out *Value) error {
 	start := p.pos
 	i := p.pos
 	if i < len(p.src) && p.src[i] == '-' {
@@ -231,13 +322,15 @@ done:
 	if isFloat {
 		f, err := strconv.ParseFloat(lit, 64)
 		if err != nil {
-			return Value{}, fmt.Errorf("value: bad float literal %q: %v", lit, err)
+			return fmt.Errorf("value: bad float literal %q: %v", lit, err)
 		}
-		return Float(f), nil
+		*out = Float(f)
+		return nil
 	}
 	n, err := strconv.ParseInt(lit, 10, 64)
 	if err != nil {
-		return Value{}, fmt.Errorf("value: bad int literal %q: %v", lit, err)
+		return fmt.Errorf("value: bad int literal %q: %v", lit, err)
 	}
-	return Int(n), nil
+	*out = Int(n)
+	return nil
 }

@@ -4,6 +4,17 @@
 // list. Elements within a nested value are addressed by index paths
 // (see Index). Values are immutable once constructed; all operations return
 // new values and never mutate shared state.
+//
+// A list comes in two representations with identical behaviour. Built lists
+// (List, Decode, FromJSON, ...) hold their elements. Payload-backed lists
+// hold only the canonical text the provenance store persisted: DecodeStored
+// — which only code reading payloads that Encode wrote may call, i.e.
+// internal/store — validates the text once and builds nothing. On such a
+// list At walks the text to the addressed element and decodes only that,
+// Encode/String return the text, and Equal of two of them starts with a
+// string compare; every other accessor (Len, Elems, Depth, Handle,
+// CheckUniform, AtomCount, Indices, ToJSON, Flatten) forces one full decode,
+// memoised on a cell shared by all copies of the Value (see payload.go).
 package value
 
 import (
@@ -28,11 +39,12 @@ const (
 // immutable.
 type Value struct {
 	k     kind
-	s     string
+	b     bool
+	s     string // string atom; canonical text of a payload-backed list
 	i     int64
 	f     float64
-	b     bool
 	elems []Value
+	lazy  *lazyList // non-nil exactly for a payload-backed list
 }
 
 // Str returns an atomic string value.
@@ -94,10 +106,11 @@ func (h Handle) Valid() bool { return h.first != nil }
 // Handle returns the identity token of a list's backing array, or the
 // invalid handle for atoms and empty lists.
 func (v Value) Handle() Handle {
-	if v.k != kindList || len(v.elems) == 0 {
+	elems := v.list()
+	if len(elems) == 0 {
 		return Handle{}
 	}
-	return Handle{first: &v.elems[0], n: len(v.elems)}
+	return Handle{first: &elems[0], n: len(elems)}
 }
 
 // IsList reports whether v is a list (as opposed to an atom).
@@ -107,11 +120,11 @@ func (v Value) IsList() bool { return v.k == kindList }
 func (v Value) IsAtom() bool { return v.k != kindList }
 
 // Len returns the number of elements of a list, and 0 for an atom.
-func (v Value) Len() int { return len(v.elems) }
+func (v Value) Len() int { return len(v.list()) }
 
 // Elems returns the elements of a list (nil for an atom). The returned slice
 // must not be mutated.
-func (v Value) Elems() []Value { return v.elems }
+func (v Value) Elems() []Value { return v.list() }
 
 // AtomString returns the string form of an atomic value. For a list it
 // returns the empty string; use String for a full rendering.
@@ -131,7 +144,12 @@ func (v Value) AtomString() string {
 }
 
 // StringVal returns the payload of a string atom and whether v is one.
-func (v Value) StringVal() (string, bool) { return v.s, v.k == kindString }
+func (v Value) StringVal() (string, bool) {
+	if v.k != kindString {
+		return "", false
+	}
+	return v.s, true
+}
 
 // IntVal returns the payload of an integer atom and whether v is one.
 func (v Value) IntVal() (int64, bool) { return v.i, v.k == kindInt }
@@ -150,10 +168,11 @@ func (v Value) Depth() int {
 	d := 0
 	for v.k == kindList {
 		d++
-		if len(v.elems) == 0 {
+		elems := v.list()
+		if len(elems) == 0 {
 			return d
 		}
-		v = v.elems[0]
+		v = elems[0]
 	}
 	return d
 }
@@ -170,11 +189,12 @@ func checkUniform(v Value, at Index) (int, error) {
 	if v.k != kindList {
 		return 0, nil
 	}
-	if len(v.elems) == 0 {
+	elems := v.list()
+	if len(elems) == 0 {
 		return 1, nil
 	}
 	first := -1
-	for i, e := range v.elems {
+	for i, e := range elems {
 		d, err := checkUniform(e, append(at, i))
 		if err != nil {
 			return 0, err
@@ -195,6 +215,9 @@ func checkUniform(v Value, at Index) (int, error) {
 func (v Value) At(p Index) (Value, error) {
 	cur := v
 	for step, i := range p {
+		if cur.lazy != nil {
+			return cur.atPayload(p, step)
+		}
 		if cur.k != kindList {
 			return Value{}, fmt.Errorf("value: index %s descends into atom at step %d", p, step)
 		}
@@ -232,7 +255,7 @@ func (v Value) Indices(length int) []Index {
 		if cur.k != kindList {
 			return
 		}
-		for i, e := range cur.elems {
+		for i, e := range cur.list() {
 			walk(e, append(prefix, i), remaining-1)
 		}
 	}
@@ -258,11 +281,11 @@ func Flatten(v Value) (Value, error) {
 		return Value{}, fmt.Errorf("value: flatten of atom")
 	}
 	var out []Value
-	for i, e := range v.elems {
+	for i, e := range v.list() {
 		if e.k != kindList {
 			return Value{}, fmt.Errorf("value: flatten: element %d is not a list", i)
 		}
-		out = append(out, e.elems...)
+		out = append(out, e.list()...)
 	}
 	return List(out...), nil
 }
@@ -274,11 +297,17 @@ func Equal(a, b Value) bool {
 	}
 	switch a.k {
 	case kindList:
-		if len(a.elems) != len(b.elems) {
+		// Equal canonical texts are equal values; unequal ones may still be
+		// (-0.0 and 0.0 encode differently), so only "equal" is decided here.
+		if a.lazy != nil && b.lazy != nil && a.s == b.s {
+			return true
+		}
+		ae, be := a.list(), b.list()
+		if len(ae) != len(be) {
 			return false
 		}
-		for i := range a.elems {
-			if !Equal(a.elems[i], b.elems[i]) {
+		for i := range ae {
+			if !Equal(ae[i], be[i]) {
 				return false
 			}
 		}
@@ -301,7 +330,7 @@ func (v Value) AtomCount() int {
 		return 1
 	}
 	n := 0
-	for _, e := range v.elems {
+	for _, e := range v.list() {
 		n += e.AtomCount()
 	}
 	return n
@@ -309,6 +338,9 @@ func (v Value) AtomCount() int {
 
 // String renders v in the canonical textual encoding (see Encode).
 func (v Value) String() string {
+	if v.lazy != nil {
+		return v.s
+	}
 	var sb strings.Builder
 	encode(&sb, v)
 	return sb.String()
@@ -350,8 +382,9 @@ func FromJSON(v any) (Value, error) {
 func ToJSON(v Value) any {
 	switch v.k {
 	case kindList:
-		out := make([]any, len(v.elems))
-		for i, e := range v.elems {
+		elems := v.list()
+		out := make([]any, len(elems))
+		for i, e := range elems {
 			out[i] = ToJSON(e)
 		}
 		return out
