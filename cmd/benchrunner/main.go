@@ -24,6 +24,7 @@ import (
 	"syscall"
 
 	"repro/internal/bench"
+	"repro/internal/obs"
 )
 
 var experiments = map[string]func(bench.Options) (*bench.Report, error){
@@ -76,11 +77,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		out     = fs.String("out", ".", "directory for CSV output")
 		timeout = fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	)
-	oo := registerObsFlags(fs)
+	oo := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	obsDone, err := oo.start(stdout, stderr)
+	obsDone, err := oo.Start(stdout, stderr)
 	if err != nil {
 		return err
 	}

@@ -32,6 +32,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/lineage"
+	"repro/internal/obs"
 	"repro/internal/queryfmt"
 	"repro/internal/shard"
 	"repro/internal/trace"
@@ -177,11 +178,11 @@ func cmdRun(args []string, stdout, stderr io.Writer) error {
 	maxAbs := fs.Int("max", 8, "pd: abstract budget")
 	save := fs.Bool("save", true, "snapshot file-backed stores after the run")
 	inputsJSON := fs.String("inputs", "", `override inputs as JSON, e.g. '{"list_of_geneIDList": [["mmu:1"],["mmu:2"]]}'`)
-	oo := registerObsFlags(fs)
+	oo := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	obsDone, err := oo.start(stdout, stderr)
+	obsDone, err := oo.Start(stdout, stderr)
 	if err != nil {
 		return err
 	}
@@ -291,11 +292,11 @@ func cmdQuery(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	l := fs.Int("l", 10, "testbed chain length used when the run's workflow is a testbed")
 	wfJSON := fs.String("wfjson", "", "comma-separated extra workflow definition JSON files")
 	values := fs.Bool("values", true, "print the bound element values")
-	oo := registerObsFlags(fs)
+	oo := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	obsDone, err := oo.start(stdout, stderr)
+	obsDone, err := oo.Start(stdout, stderr)
 	if err != nil {
 		return err
 	}

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -58,11 +59,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	parallel := fs.Int("parallel", store.DefaultIngestParallelism, "runs ingested concurrently")
 	batch := fs.Int("batch", store.DefaultBatchRows, "buffered-writer flush threshold in rows (1 = per-row)")
 	timeout := fs.Duration("timeout", 0, "abort ingest after this long (0 = no limit)")
-	oo := registerObsFlags(fs)
+	oo := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	obsDone, err := oo.start(stdout, stderr)
+	obsDone, err := oo.Start(stdout, stderr)
 	if err != nil {
 		return err
 	}

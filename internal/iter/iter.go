@@ -6,9 +6,9 @@
 // the output index q is the concatenation p1···pn of the per-input indices,
 // with |pi| = max(δs(Xi), 0)).
 //
-// Two independent implementations are provided: Plan.Enumerate/Assemble,
-// used by the execution engine, and EvalDef3, a literal transcription of
-// Def. 2 + Def. 3 used as a cross-check in property tests.
+// Plan.Enumerate/Assemble is the implementation the execution engine uses;
+// the package tests cross-check it against EvalDef3, a literal transcription
+// of Def. 2 + Def. 3 kept in def3_test.go.
 //
 // Beyond the flat cross product, the package implements the full combinator
 // model of footnote 7: the dot ("zip") product and arbitrary expressions

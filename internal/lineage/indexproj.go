@@ -3,6 +3,7 @@ package lineage
 import (
 	"context"
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 
@@ -25,13 +26,15 @@ import (
 //	     traversed paths.
 //	(s2) Execute: run each probe as one indexed lookup against the store.
 //
-// Plans are cached per (binding, focus) — all queries over traces of the
-// same workflow share the same structure — and a single plan is executed
-// once per run for multi-run queries (§3.4), which is what makes INDEXPROJ's
-// multi-run cost proportional to t2 only (Fig. 4). The cache key also pins
-// the store's topology generation (see plancache.go), so an evaluator whose
-// store was reopened under a different shard ring never reuses plans cached
-// against the old layout.
+// Plans are cached per query shape (binding port, |q|, focus): the index
+// projection rule is positional (Prop. 1), so one compilation over the
+// identity index [0,1,…,|q|-1] serves every index of that length, and a
+// query instantiates the cached template by reading the positions off its
+// own index (see plancache.go). A single plan is executed once per run for
+// multi-run queries (§3.4), which is what makes INDEXPROJ's multi-run cost
+// proportional to t2 only (Fig. 4). The cache key also pins the store's
+// topology generation, so an evaluator whose store was reopened under a
+// different shard ring never reuses plans cached against the old layout.
 //
 // An IndexProj is safe for concurrent use: the plan cache (the private
 // read-mostly map by default, an injected SharedPlanCache in server
@@ -59,8 +62,17 @@ func (p Probe) String() string { return p.Proc + ":" + p.Port + p.Index.String()
 
 // CompiledPlan is the result of the specification-graph traversal: the exact
 // set of trace probes a query needs, independent of any particular run.
+//
+// The plans an IndexProj caches are templates: compiled on the identity
+// index, each probe's Index lists the positions of the query index q it
+// reads, and shapes says how to resolve them against q. Plans returned by
+// Compile, and plans built by hand, are concrete (shapes is nil); Execute
+// and ExecuteMultiRun refuse a template.
 type CompiledPlan struct {
 	Probes []Probe
+
+	shapes []probeShape // templates only, one per probe
+	focus  Focus        // templates only: the focus set compiled for
 }
 
 // NewIndexProj prepares the evaluator for one workflow: it validates the
@@ -99,16 +111,19 @@ func (ip *IndexProj) UsePlanCache(cache PlanCache, scope string) {
 	ip.scope = scope
 }
 
-// Lineage evaluates lin(⟨proc:port[idx]⟩, focus) within one run.
+// Lineage evaluates lin(⟨proc:port[idx]⟩, focus) within one run. It executes
+// the cached template directly, resolving each probe against idx as it goes:
+// a cache hit builds no plan.
 func (ip *IndexProj) Lineage(runID, proc, port string, idx value.Index, focus Focus) (*Result, error) {
 	total := obs.Start(ipQueryNs)
-	plan, err := ip.Compile(proc, port, idx, focus)
+	tmpl, err := ip.template(proc, port, idx, focus)
 	if err != nil {
 		total.End()
 		return nil, err
 	}
 	result := NewResult()
-	if err := ip.executeInto(result, plan, runID); err != nil {
+	probes, err := ip.executeInto(result, tmpl, idx, runID)
+	if err != nil {
 		total.End()
 		return nil, err
 	}
@@ -118,18 +133,18 @@ func (ip *IndexProj) Lineage(runID, proc, port string, idx value.Index, focus Fo
 		obs.Slow("lineage.indexproj", d,
 			"run", runID,
 			"binding", proc+":"+port+idx.String(),
-			"probes", strconv.Itoa(len(plan.Probes)),
+			"probes", strconv.Itoa(probes),
 			"bindings", strconv.Itoa(result.Len()))
 	}
 	return result, nil
 }
 
 // LineageMultiRun evaluates the query over a set of runs: the specification
-// graph is traversed once (one Compile), and only the probes are re-executed
-// per run (§3.4).
+// graph is traversed once (one cached template per query shape), and only
+// the probes are re-executed per run (§3.4).
 func (ip *IndexProj) LineageMultiRun(runIDs []string, proc, port string, idx value.Index, focus Focus) (*Result, error) {
 	total := obs.Start(ipQueryNs)
-	plan, err := ip.Compile(proc, port, idx, focus)
+	tmpl, err := ip.template(proc, port, idx, focus)
 	if err != nil {
 		total.End()
 		return nil, err
@@ -139,9 +154,10 @@ func (ip *IndexProj) LineageMultiRun(runIDs []string, proc, port string, idx val
 		total.End()
 		return nil, err
 	}
+	plan := tmpl.instantiate(idx)
 	result := NewResult()
 	for _, runID := range runIDs {
-		if err := ip.executeInto(result, plan, runID); err != nil {
+		if _, err := ip.executeInto(result, plan, nil, runID); err != nil {
 			total.End()
 			return nil, err
 		}
@@ -158,29 +174,41 @@ func (ip *IndexProj) LineageMultiRun(runIDs []string, proc, port string, idx val
 	return result, nil
 }
 
-// Execute runs a compiled plan against one run.
+// Execute runs a compiled plan against one run. It refuses a cached
+// template (see CompiledPlan), which needs a query index to resolve.
 func (ip *IndexProj) Execute(plan *CompiledPlan, runID string) (*Result, error) {
+	if plan.shapes != nil {
+		return nil, errTemplatePlan
+	}
 	result := NewResult()
-	if err := ip.executeInto(result, plan, runID); err != nil {
+	if _, err := ip.executeInto(result, plan, nil, runID); err != nil {
 		return nil, err
 	}
 	return result, nil
 }
 
-func (ip *IndexProj) executeInto(result *Result, plan *CompiledPlan, runID string) error {
+// executeInto runs plan's probes against one run, resolving them against q
+// when plan is a template, and returns how many probes it ran.
+func (ip *IndexProj) executeInto(result *Result, plan *CompiledPlan, q value.Index, runID string) (int, error) {
 	sp := obs.Start(ipProbeNs)
 	defer sp.End()
-	for _, pr := range plan.Probes {
-		bs, err := ip.q.InputBindings(runID, pr.Proc, pr.Port, pr.Index)
+	n := 0
+	for i, pr := range plan.Probes {
+		idx, ok := plan.resolve(i, q)
+		if !ok {
+			continue
+		}
+		bs, err := ip.q.InputBindings(runID, pr.Proc, pr.Port, idx)
 		if err != nil {
-			return err
+			return n, err
 		}
 		if err := ip.materialize(context.TODO(), result, bs); err != nil {
-			return err
+			return n, err
 		}
+		n++
 	}
-	ipProbes.Add(int64(len(plan.Probes)))
-	return nil
+	ipProbes.Add(int64(n))
+	return n, nil
 }
 
 // materialize is materialize for this evaluator's store, and the one place
@@ -209,31 +237,80 @@ func (ip *IndexProj) CacheSize() int {
 // evaluator's cache keys.
 func (ip *IndexProj) TopologyGen() string { return ip.topoGen }
 
-// Compile traverses the workflow specification graph and produces (or
-// retrieves from cache) the probe plan for a query binding and focus set.
-// The cache's read path never serializes concurrent queries sharing a plan.
-// A cache miss compiles outside any lock (two racing compilations of the
-// same key both produce correct, equal plans; the first insert wins).
+// Compile traverses the workflow specification graph and produces the probe
+// plan for a query binding and focus set, instantiated from the template
+// cached for the query's shape (compiled on a miss). The plan shares no
+// storage with idx. The cache's read path never serializes concurrent
+// queries sharing a template. A cache miss compiles outside any lock (two
+// racing compilations of the same key both produce correct, equal
+// templates; the first insert wins).
 func (ip *IndexProj) Compile(proc, port string, idx value.Index, focus Focus) (*CompiledPlan, error) {
-	key := planKey(ip.scope, ip.wf.Name, ip.topoGen, proc, port, idx, focus)
-	if plan, ok := ip.cache.Get(key); ok {
+	tmpl, err := ip.template(proc, port, idx, focus)
+	if err != nil {
+		return nil, err
+	}
+	return tmpl.instantiate(idx.Clone()), nil
+}
+
+// template returns the template cached for the query's shape, compiling and
+// caching it on a miss. A cached template whose focus set is not the
+// query's (a fingerprint collision) is never served: the query's own
+// template is compiled and returned uncached.
+func (ip *IndexProj) template(proc, port string, idx value.Index, focus Focus) (*CompiledPlan, error) {
+	key := planKey(ip.scope, ip.wf.Name, ip.topoGen, proc, port, len(idx), focus)
+	cached, ok := ip.cache.Get(key)
+	if ok && sameFocus(cached.focus, focus) {
 		ipCacheHits.Add(1)
-		return plan, nil
+		return cached, nil
 	}
 	ipCacheMiss.Add(1)
 
 	sp := obs.Start(ipPlanNs)
 	defer sp.End()
+	tmpl, err := ip.compileTemplate(proc, port, len(idx), focus)
+	switch {
+	case err != nil:
+		return nil, err
+	case ok:
+		return tmpl, nil // the key's template is another focus set's
+	}
+	if won := ip.cache.Add(key, tmpl); sameFocus(won.focus, focus) {
+		return won, nil
+	}
+	return tmpl, nil
+}
+
+// compileTemplate runs the compiler once on the identity index of length n.
+// The compiler only truncates, slices, concatenates and projects the index,
+// so every probe index it emits is the list of positions of q it reads, and
+// its dedup maps see distinct components: two template probes can still
+// resolve equal for a concrete q (q=[3,3]), which resolve sorts out.
+func (ip *IndexProj) compileTemplate(proc, port string, n int, focus Focus) (*CompiledPlan, error) {
+	identity := make(value.Index, n)
+	for i := range identity {
+		identity[i] = i
+	}
 	c := &compiler{
 		ip:        ip,
 		focus:     focus,
 		probeSeen: make(map[string]bool),
 		visited:   make(map[string]bool),
 	}
-	if err := c.start(proc, port, idx); err != nil {
+	if err := c.start(proc, port, identity); err != nil {
 		return nil, err
 	}
-	return ip.cache.Add(key, &CompiledPlan{Probes: c.probes}), nil
+	tmpl := &CompiledPlan{Probes: c.probes, shapes: make([]probeShape, len(c.probes)), focus: maps.Clone(focus)}
+	last := make(map[probeGroup]int)
+	for i, pr := range c.probes {
+		g := probeGroup{pr.Proc, pr.Port, len(pr.Index)}
+		twin, ok := last[g]
+		if !ok {
+			twin = -1
+		}
+		tmpl.shapes[i] = newProbeShape(pr.Index, twin)
+		last[g] = i
+	}
+	return tmpl, nil
 }
 
 // scope is one (sub-)workflow frame of the compilation traversal.

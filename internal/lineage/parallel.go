@@ -72,15 +72,16 @@ func (o MultiRunOptions) normalize() MultiRunOptions {
 
 // LineageMultiRunParallel evaluates the query over a set of runs with the
 // configured parallelism and probe batching. The specification graph is
-// traversed once (one Compile, §3.4); only the probes execute per run. The
-// result is identical to LineageMultiRun's for every parallelism and batch
-// size — a property enforced by randomized tests.
+// traversed once (one cached template per query shape, §3.4), its probes
+// are resolved against idx, and only they execute per run. The result is
+// identical to LineageMultiRun's for every parallelism and batch size — a
+// property enforced by randomized tests.
 func (ip *IndexProj) LineageMultiRunParallel(ctx context.Context, runIDs []string, proc, port string, idx value.Index, focus Focus, opt MultiRunOptions) (*Result, error) {
-	plan, err := ip.Compile(proc, port, idx, focus)
+	tmpl, err := ip.template(proc, port, idx, focus)
 	if err != nil {
 		return nil, err
 	}
-	return ip.ExecuteMultiRun(ctx, plan, runIDs, opt)
+	return ip.executeMultiRunTimed(ctx, tmpl, idx, runIDs, opt)
 }
 
 // probeChunk is one executor task: one plan probe answered for one chunk of
@@ -93,10 +94,20 @@ type probeChunk struct {
 // ExecuteMultiRun runs a compiled plan against a set of runs under the given
 // options. The first failing task cancels the rest; cancelling ctx aborts
 // the query with the context's error. A panic inside a pooled task is
-// confined to its worker and surfaced as an error carrying the stack.
+// confined to its worker and surfaced as an error carrying the stack. A
+// cached template (see CompiledPlan) is refused.
 func (ip *IndexProj) ExecuteMultiRun(ctx context.Context, plan *CompiledPlan, runIDs []string, opt MultiRunOptions) (*Result, error) {
+	if plan.shapes != nil {
+		return nil, errTemplatePlan
+	}
+	return ip.executeMultiRunTimed(ctx, plan, nil, runIDs, opt)
+}
+
+// executeMultiRunTimed is ExecuteMultiRun for a concrete plan or a template
+// resolved against q.
+func (ip *IndexProj) executeMultiRunTimed(ctx context.Context, plan *CompiledPlan, q value.Index, runIDs []string, opt MultiRunOptions) (*Result, error) {
 	total := obs.Start(mrQueryNs)
-	res, err := ip.executeMultiRun(ctx, plan, runIDs, opt)
+	res, err := ip.executeMultiRun(ctx, plan, q, runIDs, opt)
 	d := total.End()
 	if err == nil {
 		ipQueries.Add(1)
@@ -111,7 +122,7 @@ func (ip *IndexProj) ExecuteMultiRun(ctx context.Context, plan *CompiledPlan, ru
 	return res, err
 }
 
-func (ip *IndexProj) executeMultiRun(ctx context.Context, plan *CompiledPlan, runIDs []string, opt MultiRunOptions) (*Result, error) {
+func (ip *IndexProj) executeMultiRun(ctx context.Context, plan *CompiledPlan, q value.Index, runIDs []string, opt MultiRunOptions) (*Result, error) {
 	if ip.q == nil {
 		return nil, fmt.Errorf("lineage: no store attached to this evaluator")
 	}
@@ -138,10 +149,21 @@ func (ip *IndexProj) executeMultiRun(ctx context.Context, plan *CompiledPlan, ru
 	// assembled from one consistent path plus the per-run row fallback.
 	cs := ip.colScanner(len(live), opt)
 	chunks := partitionChunks(ip.q, live, opt.BatchSize)
+	// The plan is resolved against q once, into the first chunk's tasks;
+	// every later chunk reuses those probes.
 	tasks := make([]probeChunk, 0, len(plan.Probes)*len(chunks))
-	for _, chunk := range chunks {
-		for _, pr := range plan.Probes {
-			tasks = append(tasks, probeChunk{probe: pr, runs: chunk})
+	if len(chunks) > 0 {
+		for i, pr := range plan.Probes {
+			if idx, ok := plan.resolve(i, q); ok {
+				pr.Index = idx
+				tasks = append(tasks, probeChunk{probe: pr, runs: chunks[0]})
+			}
+		}
+	}
+	perChunk := len(tasks)
+	for c := 1; c < len(chunks); c++ {
+		for _, t := range tasks[:perChunk] {
+			tasks = append(tasks, probeChunk{probe: t.probe, runs: chunks[c]})
 		}
 	}
 	mrTasks.Add(int64(len(tasks)))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -236,9 +237,11 @@ func TestParallelExecutorConcurrent(t *testing.T) {
 	}
 }
 
-// TestPlanCacheConcurrentCompile hammers Compile with distinct and identical
-// keys from many goroutines: the read-mostly cache must neither race nor
-// grow beyond one entry per distinct key.
+// TestPlanCacheConcurrentCompile hammers the plan cache with distinct and
+// identical shapes from many goroutines: the read-mostly cache must neither
+// race nor grow beyond one template per shape, racing compilations of one
+// shape must all come away with the single winning template, and every
+// goroutine's instantiated plan must equal a sequential compilation's.
 func TestPlanCacheConcurrentCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	env := buildMultiRunEnv(t, rng, 1, 1)
@@ -246,38 +249,62 @@ func TestPlanCacheConcurrentCompile(t *testing.T) {
 	if len(env.qs) == 0 {
 		t.Skip("random workflow produced no queries")
 	}
+	focus := NewFocus(env.focus...)
+	const goroutines, calls = 8, 50
 	var wg sync.WaitGroup
 	start := make(chan struct{})
-	plans := make([][]*CompiledPlan, 8)
+	tmpls := make([][]*CompiledPlan, goroutines)
+	plans := make([][]*CompiledPlan, goroutines)
 	for g := range plans {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			for i := 0; i < 50; i++ {
+			for i := 0; i < calls; i++ {
 				q := env.qs[i%len(env.qs)]
-				plan, err := env.ip.Compile(q.proc, q.port, q.idx, NewFocus(env.focus...))
+				tmpl, err := env.ip.template(q.proc, q.port, q.idx, focus)
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				plan, err := env.ip.Compile(q.proc, q.port, q.idx, focus)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tmpls[g] = append(tmpls[g], tmpl)
 				plans[g] = append(plans[g], plan)
 			}
 		}(g)
 	}
 	close(start)
 	wg.Wait()
-	if cs := env.ip.CacheSize(); cs > len(env.qs) {
-		t.Errorf("plan cache holds %d entries for %d distinct keys", cs, len(env.qs))
+	if t.Failed() {
+		return
 	}
-	// All goroutines must have received the same *CompiledPlan per key.
-	for g := 1; g < len(plans); g++ {
-		if len(plans[g]) != len(plans[0]) {
-			continue
+	shapes := map[string]*CompiledPlan{}
+	for g := range tmpls {
+		for i, tmpl := range tmpls[g] {
+			q := env.qs[i%len(env.qs)]
+			key := planKey(env.ip.scope, env.ip.wf.Name, env.ip.topoGen, q.proc, q.port, len(q.idx), focus)
+			if won, ok := shapes[key]; ok && won != tmpl {
+				t.Fatalf("goroutine %d got a different template instance for query %d", g, i)
+			}
+			shapes[key] = tmpl
 		}
-		for i := range plans[g] {
-			if plans[g][i] != plans[0][i] {
-				t.Fatalf("goroutine %d got a different plan instance for query %d", g, i)
+	}
+	if cs := env.ip.CacheSize(); cs != len(shapes) {
+		t.Errorf("plan cache holds %d entries for %d distinct shapes", cs, len(shapes))
+	}
+	for i := 0; i < calls; i++ {
+		q := env.qs[i%len(env.qs)]
+		want, err := env.ip.Compile(q.proc, q.port, q.idx, focus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := range plans {
+			if !reflect.DeepEqual(plans[g][i], want) {
+				t.Fatalf("goroutine %d query %d: plan %v, want %v", g, i, plans[g][i].Probes, want.Probes)
 			}
 		}
 	}

@@ -191,6 +191,3 @@ func (f Focus) Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Key returns a canonical cache key for the focus set.
-func (f Focus) Key() string { return strings.Join(f.Names(), "\x00") }
