@@ -1,8 +1,8 @@
 // Command provd is the long-running multi-tenant provenance query service.
 // It serves the lineage query API over HTTP, one isolated store namespace
-// per tenant, with per-tenant rate limits, global admission control, a
-// shared compiled-plan cache and a graceful drain on SIGTERM (stop
-// admitting, finish in-flight queries, checkpoint and close every store).
+// per tenant, with per-tenant rate limits, global admission control and a
+// graceful drain on SIGTERM (stop admitting, finish in-flight queries,
+// checkpoint and close every store).
 //
 // Usage:
 //
@@ -64,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	tenantBurst := fs.Int("tenant-burst", 16, "per-tenant rate-limit burst")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request deadline")
 	maxTimeout := fs.Duration("max-timeout", 2*time.Minute, "hard cap on client-requested deadlines")
-	planCache := fs.Int("plancache", 0, "shared plan cache capacity (0 = default)")
 	drainWait := fs.Duration("drain-wait", 30*time.Second, "how long shutdown waits for the listener to close")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -84,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		TenantBurst:    *tenantBurst,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-		PlanCacheSize:  *planCache,
 	})
 	if err != nil {
 		return err

@@ -64,11 +64,9 @@ func ParseMethod(s string) (Method, error) {
 
 // System is a provenance-enabled workflow system instance.
 type System struct {
-	reg       *engine.Registry
-	eng       *engine.Engine
-	st        store.Backend
-	planCache lineage.PlanCache
-	planScope string
+	reg *engine.Registry
+	eng *engine.Engine
+	st  store.Backend
 
 	mu        sync.Mutex
 	workflows map[string]*workflow.Workflow
@@ -83,8 +81,6 @@ type Option func(*config)
 type config struct {
 	dsn        string
 	concurrent bool
-	planCache  lineage.PlanCache
-	planScope  string
 }
 
 // WithStoreDSN directs provenance to the given DSN — a sqlike DSN
@@ -94,19 +90,6 @@ func WithStoreDSN(dsn string) Option { return func(c *config) { c.dsn = dsn } }
 
 // WithConcurrentEngine executes independent processors in parallel.
 func WithConcurrentEngine() Option { return func(c *config) { c.concurrent = true } }
-
-// WithPlanCache routes every evaluator this System builds through a shared
-// compiled-plan cache under the given scope. provd passes one
-// lineage.SharedPlanCache for the whole process and each tenant's namespace
-// as the scope, so plans are reused across requests but never across
-// tenants (or across store-topology generations — see lineage's plan-cache
-// key).
-func WithPlanCache(cache lineage.PlanCache, scope string) Option {
-	return func(c *config) {
-		c.planCache = cache
-		c.planScope = scope
-	}
-}
 
 // NewSystem creates a System with an empty processor registry.
 func NewSystem(opts ...Option) (*System, error) {
@@ -136,8 +119,6 @@ func NewSystem(opts ...Option) (*System, error) {
 		reg:       reg,
 		eng:       engine.New(reg, engOpts...),
 		st:        st,
-		planCache: cfg.planCache,
-		planScope: cfg.planScope,
 		workflows: make(map[string]*workflow.Workflow),
 		ips:       make(map[string]*lineage.IndexProj),
 		runWf:     make(map[string]string),
@@ -170,9 +151,6 @@ func (s *System) RegisterWorkflow(w *workflow.Workflow) error {
 	ip, err := lineage.NewIndexProj(s.st, w)
 	if err != nil {
 		return err
-	}
-	if s.planCache != nil {
-		ip.UsePlanCache(s.planCache, s.planScope)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

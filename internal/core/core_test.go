@@ -206,3 +206,52 @@ func TestSystemAffected(t *testing.T) {
 		}
 	}
 }
+
+// TestReopenedStoreStartsWithEmptyPlanTable: an evaluator belongs to one
+// store, so a system reopened over a saved store (the same data, possibly a
+// different layout) compiles its plans afresh instead of inheriting any.
+func TestReopenedStoreStartsWithEmptyPlanTable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "prov.db")
+	open := func() *System {
+		sys, err := NewSystem(WithStoreDSN("file:" + path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen.RegisterTestbed(sys.Registry())
+		if err := sys.RegisterWorkflow(gen.Testbed(5)); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	focus := lineage.NewFocus(gen.ListGenName)
+	sys := open()
+	run, err := sys.Run("testbed_l5", gen.TestbedInputs(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := sys.Lineage(IndexProj, run.RunID, gen.FinalName, "product", value.Ix(1, i), focus); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sys.ips["testbed_l5"].CacheSize(); got != 1 {
+		t.Fatalf("table holds %d templates after two queries of one shape, want 1", got)
+	}
+	if err := sys.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	sys.Close()
+
+	sys = open()
+	defer sys.Close()
+	ip := sys.ips["testbed_l5"]
+	if got := ip.CacheSize(); got != 0 {
+		t.Fatalf("reopened store: table holds %d templates, want 0", got)
+	}
+	if _, err := sys.Lineage(IndexProj, run.RunID, gen.FinalName, "product", value.Ix(1, 1), focus); err != nil {
+		t.Fatal(err)
+	}
+	if got := ip.CacheSize(); got != 1 {
+		t.Errorf("reopened store: table holds %d templates after one query, want 1", got)
+	}
+}

@@ -3,7 +3,6 @@ package lineage
 import (
 	"context"
 	"fmt"
-	"maps"
 	"strconv"
 	"strings"
 
@@ -26,29 +25,26 @@ import (
 //	     traversed paths.
 //	(s2) Execute: run each probe as one indexed lookup against the store.
 //
-// Plans are cached per query shape (binding port, |q|, focus): the index
-// projection rule is positional (Prop. 1), so one compilation over the
-// identity index [0,1,…,|q|-1] serves every index of that length, and a
-// query instantiates the cached template by reading the positions off its
-// own index (see plancache.go). A single plan is executed once per run for
+// Plans are kept per (binding, |q|) in a table bounded by the specification
+// (see plancache.go). The index projection rule is positional (Prop. 1), so
+// one compilation over the identity index [0,1,…,|q|-1] serves every index
+// of that length, and the compiler visits every processor, so one template
+// serves every focus: a query runs the probes of its focus processors,
+// resolved against its own index. A single plan is executed once per run for
 // multi-run queries (§3.4), which is what makes INDEXPROJ's multi-run cost
-// proportional to t2 only (Fig. 4). The cache key also pins the store's
-// topology generation, so an evaluator whose store was reopened under a
-// different shard ring never reuses plans cached against the old layout.
+// proportional to t2 only (Fig. 4).
 //
-// An IndexProj is safe for concurrent use: the plan cache (the private
-// read-mostly map by default, an injected SharedPlanCache in server
-// deployments) is concurrency-safe, and the store probes go through
-// store.LineageQuerier, whose implementations are required to be
-// concurrency-safe.
+// An IndexProj is safe for concurrent use: the template table is a
+// read-mostly map, and the store probes go through store.LineageQuerier,
+// whose implementations are required to be concurrency-safe. An evaluator
+// belongs to one store; a reopened store gets new evaluators, and so an
+// empty table.
 type IndexProj struct {
 	q  store.LineageQuerier
 	wf *workflow.Workflow
 	d  *workflow.Depths
 
-	cache   PlanCache
-	scope   string // cache-key namespace ("" outside multi-tenant servers)
-	topoGen string // store topology generation pinned into every cache key
+	cache PlanCache // the template table, newPlanTable unless a test substitutes it
 }
 
 // Probe is one trace query Q(P, X, p) of a compiled plan.
@@ -63,16 +59,18 @@ func (p Probe) String() string { return p.Proc + ":" + p.Port + p.Index.String()
 // CompiledPlan is the result of the specification-graph traversal: the exact
 // set of trace probes a query needs, independent of any particular run.
 //
-// The plans an IndexProj caches are templates: compiled on the identity
-// index, each probe's Index lists the positions of the query index q it
-// reads, and shapes says how to resolve them against q. Plans returned by
-// Compile, and plans built by hand, are concrete (shapes is nil); Execute
-// and ExecuteMultiRun refuse a template.
+// The plans an IndexProj keeps are templates: compiled on the identity index
+// with every processor in focus, each probe's Index lists the positions of
+// the query index q it reads, shapes says how to resolve them against q, and
+// byProc which probes each processor owns. Plans returned by Compile, and
+// plans built by hand, are concrete (shapes is nil); Execute and
+// ExecuteMultiRun refuse a template.
 type CompiledPlan struct {
 	Probes []Probe
 
-	shapes []probeShape // templates only, one per probe
-	focus  Focus        // templates only: the focus set compiled for
+	shapes []probeShape     // templates only, one per probe
+	byProc map[string][]int // templates only: each processor's probe ordinals
+	all    []int            // 0…len(Probes)-1
 }
 
 // NewIndexProj prepares the evaluator for one workflow: it validates the
@@ -87,42 +85,32 @@ func NewIndexProj(q store.LineageQuerier, wf *workflow.Workflow) (*IndexProj, er
 	if err != nil {
 		return nil, fmt.Errorf("lineage: %w", err)
 	}
-	return &IndexProj{
-		q:       q,
-		wf:      wf,
-		d:       d,
-		cache:   newMapPlanCache(),
-		topoGen: topologyGen(q),
-	}, nil
+	return &IndexProj{q: q, wf: wf, d: d, cache: newPlanTable()}, nil
 }
 
-// UsePlanCache routes this evaluator's compilations through a shared plan
-// cache under the given scope (the tenant namespace in provd). Keys carry
-// the scope, the workflow name and the store topology generation, so
-// evaluators of different tenants — or of the same tenant over a reopened
-// store with a different shard ring — can share one cache without ever
-// observing each other's plans. Call before the first query; swapping the
-// cache concurrently with queries is not supported.
+// UsePlanCache replaces this evaluator's template table, a test hook: a
+// table that never keeps a plan times the compilation (t1) of every query.
+// scope is unused. Call before the first query; swapping the table
+// concurrently with queries is not supported.
 func (ip *IndexProj) UsePlanCache(cache PlanCache, scope string) {
 	if cache == nil {
-		cache = newMapPlanCache()
+		cache = newPlanTable()
 	}
 	ip.cache = cache
-	ip.scope = scope
 }
 
 // Lineage evaluates lin(⟨proc:port[idx]⟩, focus) within one run. It executes
-// the cached template directly, resolving each probe against idx as it goes:
-// a cache hit builds no plan.
+// the focus's probes of the stored template directly, resolving each against
+// idx as it goes: a table hit builds no plan.
 func (ip *IndexProj) Lineage(runID, proc, port string, idx value.Index, focus Focus) (*Result, error) {
 	total := obs.Start(ipQueryNs)
-	tmpl, err := ip.template(proc, port, idx, focus)
+	tmpl, sel, err := ip.focused(proc, port, idx, focus)
 	if err != nil {
 		total.End()
 		return nil, err
 	}
 	result := NewResult()
-	probes, err := ip.executeInto(result, tmpl, idx, runID)
+	probes, err := ip.executeInto(result, tmpl, idx, sel, runID)
 	if err != nil {
 		total.End()
 		return nil, err
@@ -140,11 +128,11 @@ func (ip *IndexProj) Lineage(runID, proc, port string, idx value.Index, focus Fo
 }
 
 // LineageMultiRun evaluates the query over a set of runs: the specification
-// graph is traversed once (one cached template per query shape), and only
-// the probes are re-executed per run (§3.4).
+// graph is traversed once (one template per binding and |q|), and only the
+// focus's probes are re-executed per run (§3.4).
 func (ip *IndexProj) LineageMultiRun(runIDs []string, proc, port string, idx value.Index, focus Focus) (*Result, error) {
 	total := obs.Start(ipQueryNs)
-	tmpl, err := ip.template(proc, port, idx, focus)
+	tmpl, sel, err := ip.focused(proc, port, idx, focus)
 	if err != nil {
 		total.End()
 		return nil, err
@@ -154,10 +142,10 @@ func (ip *IndexProj) LineageMultiRun(runIDs []string, proc, port string, idx val
 		total.End()
 		return nil, err
 	}
-	plan := tmpl.instantiate(idx)
+	plan := tmpl.instantiate(idx, sel)
 	result := NewResult()
 	for _, runID := range runIDs {
-		if _, err := ip.executeInto(result, plan, nil, runID); err != nil {
+		if _, err := ip.executeInto(result, plan, nil, plan.all, runID); err != nil {
 			total.End()
 			return nil, err
 		}
@@ -181,23 +169,25 @@ func (ip *IndexProj) Execute(plan *CompiledPlan, runID string) (*Result, error) 
 		return nil, errTemplatePlan
 	}
 	result := NewResult()
-	if _, err := ip.executeInto(result, plan, nil, runID); err != nil {
+	if _, err := ip.executeInto(result, plan, nil, plan.every(), runID); err != nil {
 		return nil, err
 	}
 	return result, nil
 }
 
-// executeInto runs plan's probes against one run, resolving them against q
-// when plan is a template, and returns how many probes it ran.
-func (ip *IndexProj) executeInto(result *Result, plan *CompiledPlan, q value.Index, runID string) (int, error) {
+// executeInto runs the probes sel selects from plan against one run,
+// resolving them against q when plan is a template, and returns how many
+// probes it ran.
+func (ip *IndexProj) executeInto(result *Result, plan *CompiledPlan, q value.Index, sel []int, runID string) (int, error) {
 	sp := obs.Start(ipProbeNs)
 	defer sp.End()
 	n := 0
-	for i, pr := range plan.Probes {
+	for _, i := range sel {
 		idx, ok := plan.resolve(i, q)
 		if !ok {
 			continue
 		}
+		pr := &plan.Probes[i]
 		bs, err := ip.q.InputBindings(runID, pr.Proc, pr.Port, idx)
 		if err != nil {
 			return n, err
@@ -219,65 +209,65 @@ func (ip *IndexProj) materialize(ctx context.Context, result *Result, bs []store
 	return materialize(ctx, ip.q, result, bs)
 }
 
-// CacheSize returns the number of compiled plans in this evaluator's private
-// cache. For evaluators routed through a shared cache it reports the shared
-// cache's total size when that cache is a *SharedPlanCache, 0 otherwise.
+// CacheSize returns the number of templates in this evaluator's table (0
+// while a test hook substitutes it), at most Σ_b (L_b+1) over the workflow's
+// bindings.
 func (ip *IndexProj) CacheSize() int {
-	switch c := ip.cache.(type) {
-	case *mapPlanCache:
-		return c.len()
-	case *SharedPlanCache:
-		return c.Len()
-	default:
-		return 0
+	if t, ok := ip.cache.(*planTable); ok {
+		return t.len()
 	}
+	return 0
 }
 
-// TopologyGen returns the store topology generation pinned into this
-// evaluator's cache keys.
-func (ip *IndexProj) TopologyGen() string { return ip.topoGen }
-
 // Compile traverses the workflow specification graph and produces the probe
-// plan for a query binding and focus set, instantiated from the template
-// cached for the query's shape (compiled on a miss). The plan shares no
-// storage with idx. The cache's read path never serializes concurrent
-// queries sharing a template. A cache miss compiles outside any lock (two
-// racing compilations of the same key both produce correct, equal
-// templates; the first insert wins).
+// plan for a query binding and focus set: the focus's probes of the template
+// stored for the binding and |q| (compiled on a miss), resolved against idx.
+// The plan shares no storage with idx. The table's read path never
+// serializes concurrent queries sharing a template. A miss compiles outside
+// any lock (two racing compilations of the same key both produce correct,
+// equal templates; the first insert wins).
 func (ip *IndexProj) Compile(proc, port string, idx value.Index, focus Focus) (*CompiledPlan, error) {
-	tmpl, err := ip.template(proc, port, idx, focus)
+	tmpl, sel, err := ip.focused(proc, port, idx, focus)
 	if err != nil {
 		return nil, err
 	}
-	return tmpl.instantiate(idx.Clone()), nil
+	return tmpl.instantiate(idx.Clone(), sel), nil
 }
 
-// template returns the template cached for the query's shape, compiling and
-// caching it on a miss. A cached template whose focus set is not the
-// query's (a fingerprint collision) is never served: the query's own
-// template is compiled and returned uncached.
-func (ip *IndexProj) template(proc, port string, idx value.Index, focus Focus) (*CompiledPlan, error) {
-	key := planKey(ip.scope, ip.wf.Name, ip.topoGen, proc, port, len(idx), focus)
-	cached, ok := ip.cache.Get(key)
-	if ok && sameFocus(cached.focus, focus) {
-		ipCacheHits.Add(1)
-		return cached, nil
+// focused returns the template for the query's binding and |q|, and the
+// ordinals of the probes the focus selects from it. Every executor filters
+// through it.
+func (ip *IndexProj) focused(proc, port string, idx value.Index, focus Focus) (*CompiledPlan, []int, error) {
+	tmpl, err := ip.template(proc, port, len(idx))
+	if err != nil {
+		return nil, nil, err
+	}
+	return tmpl, tmpl.selected(focus), nil
+}
+
+// template returns the template stored for the binding and min(n, L_b),
+// compiling and storing it on a miss. A binding bound cannot place is
+// compiled as asked and never stored: the compiler rejects it.
+func (ip *IndexProj) template(proc, port string, n int) (*CompiledPlan, error) {
+	var key string
+	l, known := ip.bound(proc, port)
+	if known {
+		n = min(n, l)
+		key = planKey(proc, port, n)
+		if tmpl, ok := ip.cache.Get(key); ok {
+			ipCacheHits.Add(1)
+			return tmpl, nil
+		}
 	}
 	ipCacheMiss.Add(1)
 
 	sp := obs.Start(ipPlanNs)
 	defer sp.End()
-	tmpl, err := ip.compileTemplate(proc, port, len(idx), focus)
-	switch {
-	case err != nil:
-		return nil, err
-	case ok:
-		return tmpl, nil // the key's template is another focus set's
+	tmpl, err := ip.compileTemplate(proc, port, n)
+	if err != nil || !known {
+		return tmpl, err
 	}
-	if won := ip.cache.Add(key, tmpl); sameFocus(won.focus, focus) {
-		return won, nil
-	}
-	return tmpl, nil
+	return ip.cache.Add(key, tmpl), nil
 }
 
 // compileTemplate runs the compiler once on the identity index of length n.
@@ -285,21 +275,25 @@ func (ip *IndexProj) template(proc, port string, idx value.Index, focus Focus) (
 // so every probe index it emits is the list of positions of q it reads, and
 // its dedup maps see distinct components: two template probes can still
 // resolve equal for a concrete q (q=[3,3]), which resolve sorts out.
-func (ip *IndexProj) compileTemplate(proc, port string, n int, focus Focus) (*CompiledPlan, error) {
+func (ip *IndexProj) compileTemplate(proc, port string, n int) (*CompiledPlan, error) {
 	identity := make(value.Index, n)
 	for i := range identity {
 		identity[i] = i
 	}
 	c := &compiler{
 		ip:        ip,
-		focus:     focus,
 		probeSeen: make(map[string]bool),
 		visited:   make(map[string]bool),
 	}
 	if err := c.start(proc, port, identity); err != nil {
 		return nil, err
 	}
-	tmpl := &CompiledPlan{Probes: c.probes, shapes: make([]probeShape, len(c.probes)), focus: maps.Clone(focus)}
+	tmpl := &CompiledPlan{
+		Probes: c.probes,
+		shapes: make([]probeShape, len(c.probes)),
+		byProc: make(map[string][]int),
+		all:    make([]int, len(c.probes)),
+	}
 	last := make(map[probeGroup]int)
 	for i, pr := range c.probes {
 		g := probeGroup{pr.Proc, pr.Port, len(pr.Index)}
@@ -309,6 +303,8 @@ func (ip *IndexProj) compileTemplate(proc, port string, n int, focus Focus) (*Co
 		}
 		tmpl.shapes[i] = newProbeShape(pr.Index, twin)
 		last[g] = i
+		tmpl.byProc[pr.Proc] = append(tmpl.byProc[pr.Proc], i)
+		tmpl.all[i] = i
 	}
 	return tmpl, nil
 }
@@ -341,7 +337,6 @@ func (sc *scope) qualifyName(proc string) string {
 
 type compiler struct {
 	ip        *IndexProj
-	focus     Focus
 	probes    []Probe
 	probeSeen map[string]bool
 	visited   map[string]bool
@@ -411,18 +406,6 @@ func (c *compiler) addProbe(proc, port string, idx value.Index) {
 	}
 }
 
-// anyFocusInside reports whether the focus set names a processor inside the
-// composite with the given qualified name.
-func (c *compiler) anyFocusInside(qualified string) bool {
-	prefix := qualified + "/"
-	for name := range c.focus {
-		if strings.HasPrefix(name, prefix) {
-			return true
-		}
-	}
-	return false
-}
-
 // iterPlanFor returns the statically-computed iteration plan of a processor
 // within a frame (built once by PROPAGATEDEPTHS).
 func (c *compiler) iterPlanFor(sc *scope, p *workflow.Processor) *iter.Plan {
@@ -431,15 +414,16 @@ func (c *compiler) iterPlanFor(sc *scope, p *workflow.Processor) *iter.Plan {
 
 // visitOutput handles one traversal step through a processor: the index
 // projection rule apportions fragments of the output index to each input
-// port (Alg. 2, first branch). For a nested dataflow containing focus
-// processors, the traversal additionally descends into the sub-workflow.
+// port (Alg. 2, first branch), and every port's fragment is a probe. For a
+// nested dataflow, the traversal additionally descends into the
+// sub-workflow.
 func (c *compiler) visitOutput(sc *scope, p *workflow.Processor, port string, idx value.Index) error {
 	if c.seen("out", sc.qualifyName(p.Name), port, idx) {
 		return nil
 	}
 	qualified := sc.qualifyName(p.Name)
 
-	if p.IsComposite() && c.anyFocusInside(qualified) {
+	if p.IsComposite() {
 		sub := sc.d.Sub(p.Name)
 		if sub == nil {
 			return fmt.Errorf("lineage: no depths for nested dataflow %q", qualified)
@@ -468,9 +452,7 @@ func (c *compiler) visitOutput(sc *scope, p *workflow.Processor, port string, id
 	for i, in := range p.Inputs {
 		frag, _ := plan.Project(local, i)
 		full := ctx.Concat(frag)
-		if c.focus[qualified] {
-			c.addProbe(qualified, in.Name, full)
-		}
+		c.addProbe(qualified, in.Name, full)
 		if err := c.visitInput(sc, p, in.Name, full); err != nil {
 			return err
 		}

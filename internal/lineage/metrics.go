@@ -34,12 +34,4 @@ var (
 	// breaker_open — one dashboard row tells the whole failover story — even
 	// though the executor is what detects the condition.
 	mrDegraded = obs.C("shard.degraded")
-
-	// Shared cross-request plan cache (plancache.go). The per-evaluator
-	// hit/miss counters above keep counting too: they account Compile calls,
-	// these account SharedPlanCache traffic (several evaluators may share
-	// one cache).
-	pcHits      = obs.C("lineage.plancache.hits")
-	pcMisses    = obs.C("lineage.plancache.misses")
-	pcEvictions = obs.C("lineage.plancache.evictions")
 )

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/store"
 	"repro/internal/value"
 )
@@ -48,7 +47,7 @@ type MultiRunOptions struct {
 	ColScan ColScanMode
 	// Partial enables degraded-mode answers over a replicated sharded store:
 	// when every replica of some shard is unavailable (the failure matches
-	// resilience.ErrUnavailable), the query returns the surviving shards'
+	// store.ErrUnavailable), the query returns the surviving shards'
 	// entries with the unanswerable runs marked degraded on the Result,
 	// instead of failing whole. Semantic failures (unknown runs, corruption
 	// detected on a healthy replica) still fail the query. Off by default:
@@ -72,16 +71,16 @@ func (o MultiRunOptions) normalize() MultiRunOptions {
 
 // LineageMultiRunParallel evaluates the query over a set of runs with the
 // configured parallelism and probe batching. The specification graph is
-// traversed once (one cached template per query shape, §3.4), its probes
-// are resolved against idx, and only they execute per run. The result is
-// identical to LineageMultiRun's for every parallelism and batch size — a
-// property enforced by randomized tests.
+// traversed once (one template per binding and |q|, §3.4), the focus's
+// probes are resolved against idx, and only they execute per run. The
+// result is identical to LineageMultiRun's for every parallelism and batch
+// size — a property enforced by randomized tests.
 func (ip *IndexProj) LineageMultiRunParallel(ctx context.Context, runIDs []string, proc, port string, idx value.Index, focus Focus, opt MultiRunOptions) (*Result, error) {
-	tmpl, err := ip.template(proc, port, idx, focus)
+	tmpl, sel, err := ip.focused(proc, port, idx, focus)
 	if err != nil {
 		return nil, err
 	}
-	return ip.executeMultiRunTimed(ctx, tmpl, idx, runIDs, opt)
+	return ip.executeMultiRunTimed(ctx, tmpl, idx, sel, runIDs, opt)
 }
 
 // probeChunk is one executor task: one plan probe answered for one chunk of
@@ -100,21 +99,21 @@ func (ip *IndexProj) ExecuteMultiRun(ctx context.Context, plan *CompiledPlan, ru
 	if plan.shapes != nil {
 		return nil, errTemplatePlan
 	}
-	return ip.executeMultiRunTimed(ctx, plan, nil, runIDs, opt)
+	return ip.executeMultiRunTimed(ctx, plan, nil, plan.every(), runIDs, opt)
 }
 
-// executeMultiRunTimed is ExecuteMultiRun for a concrete plan or a template
-// resolved against q.
-func (ip *IndexProj) executeMultiRunTimed(ctx context.Context, plan *CompiledPlan, q value.Index, runIDs []string, opt MultiRunOptions) (*Result, error) {
+// executeMultiRunTimed is ExecuteMultiRun for the probes sel selects from a
+// concrete plan or from a template resolved against q.
+func (ip *IndexProj) executeMultiRunTimed(ctx context.Context, plan *CompiledPlan, q value.Index, sel []int, runIDs []string, opt MultiRunOptions) (*Result, error) {
 	total := obs.Start(mrQueryNs)
-	res, err := ip.executeMultiRun(ctx, plan, q, runIDs, opt)
+	res, err := ip.executeMultiRun(ctx, plan, q, sel, runIDs, opt)
 	d := total.End()
 	if err == nil {
 		ipQueries.Add(1)
 		if obs.SlowExceeded(d) {
 			obs.Slow("lineage.multirun", d,
 				"runs", strconv.Itoa(len(runIDs)),
-				"probes", strconv.Itoa(len(plan.Probes)),
+				"probes", strconv.Itoa(len(sel)),
 				"parallelism", strconv.Itoa(opt.normalize().Parallelism),
 				"bindings", strconv.Itoa(res.Len()))
 		}
@@ -122,7 +121,7 @@ func (ip *IndexProj) executeMultiRunTimed(ctx context.Context, plan *CompiledPla
 	return res, err
 }
 
-func (ip *IndexProj) executeMultiRun(ctx context.Context, plan *CompiledPlan, q value.Index, runIDs []string, opt MultiRunOptions) (*Result, error) {
+func (ip *IndexProj) executeMultiRun(ctx context.Context, plan *CompiledPlan, q value.Index, sel []int, runIDs []string, opt MultiRunOptions) (*Result, error) {
 	if ip.q == nil {
 		return nil, fmt.Errorf("lineage: no store attached to this evaluator")
 	}
@@ -151,10 +150,11 @@ func (ip *IndexProj) executeMultiRun(ctx context.Context, plan *CompiledPlan, q 
 	chunks := partitionChunks(ip.q, live, opt.BatchSize)
 	// The plan is resolved against q once, into the first chunk's tasks;
 	// every later chunk reuses those probes.
-	tasks := make([]probeChunk, 0, len(plan.Probes)*len(chunks))
+	tasks := make([]probeChunk, 0, len(sel)*len(chunks))
 	if len(chunks) > 0 {
-		for i, pr := range plan.Probes {
+		for _, i := range sel {
 			if idx, ok := plan.resolve(i, q); ok {
+				pr := plan.Probes[i]
 				pr.Index = idx
 				tasks = append(tasks, probeChunk{probe: pr, runs: chunks[0]})
 			}
@@ -172,7 +172,7 @@ func (ip *IndexProj) executeMultiRun(ctx context.Context, plan *CompiledPlan, q 
 	// mode is on and the failure is (only ever) shard unavailability. The
 	// chunk's runs are marked degraded and the query proceeds.
 	degradeChunk := func(res *Result, runs []string, err error) bool {
-		if !opt.Partial || !errors.Is(err, resilience.ErrUnavailable) {
+		if !opt.Partial || !errors.Is(err, store.ErrUnavailable) {
 			return false
 		}
 		res.MarkDegraded(runs...)
@@ -370,7 +370,7 @@ func validateRuns(hasRun func(string) (bool, error), runIDs []string, partial bo
 	for i, r := range runIDs {
 		ok, err := hasRun(r)
 		if err != nil {
-			if partial && errors.Is(err, resilience.ErrUnavailable) {
+			if partial && errors.Is(err, store.ErrUnavailable) {
 				if len(degraded) == 0 {
 					// First degraded run: switch to a filtered copy.
 					live = append([]string(nil), runIDs[:i]...)

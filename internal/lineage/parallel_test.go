@@ -262,7 +262,7 @@ func TestPlanCacheConcurrentCompile(t *testing.T) {
 			<-start
 			for i := 0; i < calls; i++ {
 				q := env.qs[i%len(env.qs)]
-				tmpl, err := env.ip.template(q.proc, q.port, q.idx, focus)
+				tmpl, err := env.ip.template(q.proc, q.port, len(q.idx))
 				if err != nil {
 					t.Error(err)
 					return
@@ -286,7 +286,8 @@ func TestPlanCacheConcurrentCompile(t *testing.T) {
 	for g := range tmpls {
 		for i, tmpl := range tmpls[g] {
 			q := env.qs[i%len(env.qs)]
-			key := planKey(env.ip.scope, env.ip.wf.Name, env.ip.topoGen, q.proc, q.port, len(q.idx), focus)
+			l, _ := env.ip.bound(q.proc, q.port)
+			key := planKey(q.proc, q.port, min(len(q.idx), l))
 			if won, ok := shapes[key]; ok && won != tmpl {
 				t.Fatalf("goroutine %d got a different template instance for query %d", g, i)
 			}

@@ -1,237 +1,157 @@
 package lineage
 
 import (
-	"container/list"
 	"errors"
-	"hash/maphash"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/store"
+	"repro/internal/trace"
 	"repro/internal/value"
+	"repro/internal/workflow"
 )
 
-// This file lifts IndexProj's per-evaluator plan cache behind an injectable,
-// concurrency-safe interface so a long-running server can share one compiled-
-// plan cache across requests, evaluators, and tenants. Compiled plans are
-// pure functions of (workflow specification, query binding port, |q|, focus)
-// — never of the values in q, because the index projection rule is
-// positional (Prop. 1) — so the cache holds one template per query shape,
-// compiled on the identity index, and every query instantiates it against
-// its own index (resolve, below). The cache key must carry more than the
-// shape:
+// This file holds IndexProj's template table. A compiled plan is a pure
+// function of the workflow specification, the query binding and |q|:
 //
-//   - a scope (the tenant namespace in provd), so one tenant's plans are
-//     never served under another tenant's key space, and
-//   - the store's topology generation (the shard-manifest parameters for a
-//     sharded store), so an evaluator attached to a store that was reopened
-//     with a different ring never answers from plans cached under the old
-//     topology. The probes themselves are spec-level and would survive a
-//     reshard, but executor-facing plan state must not outlive the store
-//     layout it was compiled against — keying on the generation makes the
-//     stale-reuse class of bug structurally impossible.
+//   - never of the values in q, because the index projection rule is
+//     positional (Prop. 1). A template is compiled on the identity index, and
+//     every query instantiates it against its own index (resolve, below);
+//   - never of the focus set. The compiler visits every processor and records
+//     which probes each one owns, and a focused query runs the probes of its
+//     focus processors, in template order (selected, below). That is exactly
+//     the plan a compilation restricted to the focus produces.
 //
-// The focus set enters the key as an order-independent fingerprint, so a
-// hit costs no sorting; a template records its focus set and a hit verifies
-// it, so a fingerprint collision can cost a compilation but never an answer.
+// So an evaluator keeps one template per (binding, |q|), and the table is
+// bounded by the specification. Every probe of a binding b reads positions
+// below L_b, the context length of b's frame plus the depth of b's port
+// (bound, below), so a longer q resolves through the L_b template. The key is
+// (b, min(|q|, L_b)), unknown bindings fail to compile and are never stored,
+// and no query can grow the table past Σ_b (L_b+1) templates. An evaluator
+// belongs to one store and one workflow, so neither enters the key.
 
-// PlanCache is the compiled-plan cache surface IndexProj compiles through.
-// Implementations must be safe for concurrent use. Get returns the cached
-// plan for a key; Add inserts a freshly compiled plan and returns the winner
-// (the existing plan if another goroutine raced the same compilation in
-// first — callers must use the returned plan, not their argument). The
-// plans IndexProj stores are templates (see CompiledPlan), opaque to the
-// cache.
+// PlanCache is the surface IndexProj's template table is reached through. Get
+// returns the template stored under a key; Add stores a freshly compiled one
+// and returns the winner (the stored template if another goroutine raced the
+// same compilation in first — callers must use the returned plan, not their
+// argument). Implementations must be safe for concurrent use.
 type PlanCache interface {
 	Get(key string) (*CompiledPlan, bool)
 	Add(key string, plan *CompiledPlan) *CompiledPlan
 }
 
-// mapPlanCache is the private per-evaluator cache: the original read-mostly
-// RWMutex map, unbounded (one evaluator sees one workflow's query space).
-type mapPlanCache struct {
+// planTable is the default PlanCache: a read-mostly map, bounded by the
+// specification (see above).
+type planTable struct {
 	mu    sync.RWMutex
 	plans map[string]*CompiledPlan
 }
 
-func newMapPlanCache() *mapPlanCache {
-	return &mapPlanCache{plans: make(map[string]*CompiledPlan)}
+func newPlanTable() *planTable {
+	return &planTable{plans: make(map[string]*CompiledPlan)}
 }
 
-func (c *mapPlanCache) Get(key string) (*CompiledPlan, bool) {
-	c.mu.RLock()
-	p, ok := c.plans[key]
-	c.mu.RUnlock()
+func (t *planTable) Get(key string) (*CompiledPlan, bool) {
+	t.mu.RLock()
+	p, ok := t.plans[key]
+	t.mu.RUnlock()
 	return p, ok
 }
 
-func (c *mapPlanCache) Add(key string, plan *CompiledPlan) *CompiledPlan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cached, ok := c.plans[key]; ok {
-		return cached // another goroutine won the compilation race
+func (t *planTable) Add(key string, plan *CompiledPlan) *CompiledPlan {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if stored, ok := t.plans[key]; ok {
+		return stored // another goroutine won the compilation race
 	}
-	c.plans[key] = plan
+	t.plans[key] = plan
 	return plan
 }
 
-func (c *mapPlanCache) len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.plans)
+func (t *planTable) len() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.plans)
 }
 
-// SharedPlanCache is a bounded, concurrency-safe, LRU-evicting plan cache
-// meant to be shared across evaluators and requests (provd holds exactly
-// one). Hits promote; inserts beyond the capacity evict the least recently
-// used entry. Hit/miss/eviction totals are exposed both as obs counters
-// (lineage.plancache.*) and as per-instance accessors for tests.
-type SharedPlanCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
+// planKey is the table key of a template: the binding and the (bounded)
+// index length, joined with \x01, which cannot appear in either name.
+func planKey(proc, port string, n int) string {
+	var buf [96]byte
+	b := append(append(append(buf[:0], proc...), 1), port...)
+	return string(strconv.AppendInt(append(b, 1), int64(n), 10))
 }
 
-type planEntry struct {
-	key  string
-	plan *CompiledPlan
-}
-
-// DefaultPlanCacheSize bounds a SharedPlanCache built with capacity <= 0.
-const DefaultPlanCacheSize = 1024
-
-// NewSharedPlanCache returns an empty shared cache holding at most capacity
-// plans (DefaultPlanCacheSize when capacity <= 0).
-func NewSharedPlanCache(capacity int) *SharedPlanCache {
-	if capacity <= 0 {
-		capacity = DefaultPlanCacheSize
+// bound returns L_b for the query binding proc:port: the context length of
+// the frame the binding lives in plus the depth of its port. Every probe a
+// compilation of the binding emits reads positions of q below L_b (pinned by
+// TestTemplateBound). ok is false when the binding names no port.
+func (ip *IndexProj) bound(proc, port string) (n int, ok bool) {
+	d := ip.d
+	if proc == trace.WorkflowProc {
+		return d.Depth(workflow.PortID{Proc: workflow.WorkflowPseudoProc, Port: port})
 	}
-	return &SharedPlanCache{
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
-		order:    list.New(),
-	}
-}
-
-// Get returns the plan cached under key, promoting it to most recently used.
-func (c *SharedPlanCache) Get(key string) (*CompiledPlan, bool) {
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	if ok {
-		c.order.MoveToFront(el)
-	}
-	c.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		pcMisses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	pcHits.Add(1)
-	return el.Value.(*planEntry).plan, true
-}
-
-// Add inserts a plan under key and returns the winning plan (the cached one
-// when a racing goroutine inserted first). Inserting over a full cache
-// evicts the least recently used entry.
-func (c *SharedPlanCache) Add(key string, plan *CompiledPlan) *CompiledPlan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		return el.Value.(*planEntry).plan
-	}
-	c.entries[key] = c.order.PushFront(&planEntry{key: key, plan: plan})
-	for len(c.entries) > c.capacity {
-		oldest := c.order.Back()
-		if oldest == nil {
+	wf := ip.wf
+	for {
+		head, rest, nested := strings.Cut(proc, "/")
+		if !nested {
 			break
 		}
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*planEntry).key)
-		c.evictions.Add(1)
-		pcEvictions.Add(1)
+		comp, sub := wf.Processor(head), d.Sub(head)
+		if comp == nil || !comp.IsComposite() || sub == nil {
+			return 0, false
+		}
+		n += d.IterationDepth(head)
+		wf, d, proc = comp.Sub, sub, rest
 	}
-	return plan
+	dep, ok := d.Depth(workflow.PortID{Proc: proc, Port: port})
+	return n + dep, ok
 }
 
-// Len returns the number of cached plans.
-func (c *SharedPlanCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Capacity returns the maximum number of cached plans.
-func (c *SharedPlanCache) Capacity() int { return c.capacity }
-
-// Hits returns the cumulative Get hits.
-func (c *SharedPlanCache) Hits() int64 { return c.hits.Load() }
-
-// Misses returns the cumulative Get misses.
-func (c *SharedPlanCache) Misses() int64 { return c.misses.Load() }
-
-// Evictions returns the cumulative LRU evictions.
-func (c *SharedPlanCache) Evictions() int64 { return c.evictions.Load() }
-
-// topologyGen fingerprints the store layout a compiled plan is cached
-// against. Stores that partition data (shard.ShardedStore) implement
-// store.TopologyVersioner and report their manifest-pinned ring parameters;
-// everything else — including a nil querier, compile-only evaluators — is
-// one undivided keyspace.
-func topologyGen(q store.LineageQuerier) string {
-	if tv, ok := q.(store.TopologyVersioner); ok {
-		return tv.TopologyGen()
+// selected returns the ordinals of the template probes owned by the focus's
+// processors, in template order. A name that maps to false, or that owns no
+// probe, selects nothing. It allocates only for a focus of several
+// processors that is not all of the template's.
+func (p *CompiledPlan) selected(focus Focus) []int {
+	if len(focus) == 1 {
+		for name, in := range focus {
+			if in {
+				return p.byProc[name]
+			}
+		}
+		return nil
 	}
-	return "single"
-}
-
-// planKey builds the full cache key of one query shape: the evaluator's
-// scope (tenant namespace; "" for private evaluators), the workflow name,
-// the store topology generation, the query binding's port, |q|, and the
-// focus fingerprint and size. Components are joined with \x01, which cannot
-// appear in any of them.
-func planKey(scope, wfName, topoGen, proc, port string, n int, focus Focus) string {
-	var buf [160]byte
-	b := append(buf[:0], scope...)
-	for _, part := range [...]string{wfName, topoGen, proc, port} {
-		b = append(append(b, 1), part...)
-	}
-	b = strconv.AppendInt(append(b, 1), int64(n), 10)
-	b = strconv.AppendUint(append(b, 1), focusFingerprint(focus), 16)
-	b = strconv.AppendInt(append(b, 1), int64(len(focus)), 10)
-	return string(b)
-}
-
-var focusSeed = maphash.MakeSeed()
-
-// focusFingerprint is the sum of the focus names' hashes under one package
-// seed: independent of map order, and allocation-free.
-func focusFingerprint(f Focus) uint64 {
-	var sum uint64
-	for name := range f {
-		sum += maphash.String(focusSeed, name)
-	}
-	return sum
-}
-
-// sameFocus reports whether two focus sets are equal.
-func sameFocus(a, b Focus) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for name, in := range a {
-		if other, ok := b[name]; !ok || other != in {
-			return false
+	procs, n := 0, 0
+	for name, in := range focus {
+		if ords, ok := p.byProc[name]; ok && in {
+			procs++
+			n += len(ords)
 		}
 	}
-	return true
+	if procs == len(p.byProc) {
+		return p.all
+	}
+	sel := make([]int, 0, n)
+	for name, in := range focus {
+		if in {
+			sel = append(sel, p.byProc[name]...)
+		}
+	}
+	slices.Sort(sel)
+	return sel
+}
+
+// every returns the ordinals of all of p's probes.
+func (p *CompiledPlan) every() []int {
+	if len(p.all) == len(p.Probes) {
+		return p.all
+	}
+	all := make([]int, len(p.Probes))
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 // probeShape says how one template probe resolves against a query index q.
@@ -239,7 +159,8 @@ type probeShape struct {
 	contiguous bool // the probe reads q[lo:hi]
 	lo, hi     int
 	// twin is the previous probe of equal (proc, port, |index|), or -1:
-	// only those can resolve equal to this one.
+	// only those can resolve equal to this one. Twins share a processor, so
+	// a focus selects a probe and its twins together.
 	twin int
 }
 
@@ -300,19 +221,21 @@ func sameAt(q, a, b value.Index) bool {
 	return true
 }
 
-// errTemplatePlan is what the public executors return for a cached template
+// errTemplatePlan is what the public executors return for a template
 // (obtained through PlanCache.Get), which only resolves against a query index.
 var errTemplatePlan = errors.New("lineage: plan is a cached template; Compile the query for an executable plan")
 
-// instantiate returns the concrete plan of a template for the query index q.
-// Its probe indices may share storage with q.
-func (p *CompiledPlan) instantiate(q value.Index) *CompiledPlan {
-	out := &CompiledPlan{Probes: make([]Probe, 0, len(p.Probes))}
-	for i, pr := range p.Probes {
+// instantiate returns the concrete plan of a template for the query index q,
+// holding the probes sel selects. Its probe indices may share storage with q.
+func (p *CompiledPlan) instantiate(q value.Index, sel []int) *CompiledPlan {
+	out := &CompiledPlan{Probes: make([]Probe, 0, len(sel))}
+	for _, i := range sel {
 		if idx, ok := p.resolve(i, q); ok {
+			pr := p.Probes[i]
 			pr.Index = idx
 			out.Probes = append(out.Probes, pr)
 		}
 	}
+	out.all = p.all[:len(out.Probes)] // a prefix of the identity is one
 	return out
 }

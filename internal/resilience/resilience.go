@@ -19,13 +19,14 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/store"
 )
 
 // ErrUnavailable is the sentinel wrapped by every "all replicas exhausted"
-// failure. Callers that can degrade (the multi-run executor's Partial mode)
-// match it with errors.Is to distinguish an unavailable shard — answerable
-// minus its runs — from a semantic failure that must surface.
-var ErrUnavailable = errors.New("resilience: unavailable")
+// failure: store.ErrUnavailable, so that readers of a store match it without
+// depending on this package.
+var ErrUnavailable = store.ErrUnavailable
 
 // Policy bounds one resilient operation: how long a single attempt may take,
 // how long the whole operation may take when the caller's context carries no

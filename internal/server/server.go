@@ -3,11 +3,10 @@
 // parallel multi-run lineage executor.
 //
 // Each tenant is an isolated namespace — its own store handle (opened
-// lazily from a DSN template, LRU-evicted beyond a budget) and its own
-// token-bucket rate limit — while all tenants share one compiled-plan cache
-// (keyed by tenant scope, workflow and store topology, so plans never leak
-// across namespaces or survive a resharding) and one global admission
-// semaphore bounding in-flight query work.
+// lazily from a DSN template, LRU-evicted beyond a budget), its own
+// evaluators with their template tables, and its own token-bucket rate
+// limit — while all tenants share one global admission semaphore bounding
+// in-flight query work.
 //
 // Shutdown is a drain: the server stops admitting, lets in-flight requests
 // finish, checkpoints every open store, and closes. The ops surface
@@ -26,7 +25,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/lineage"
 	"repro/internal/obs"
 	"repro/internal/workflow"
 )
@@ -56,8 +54,6 @@ type Config struct {
 
 	DefaultTimeout time.Duration // per-request deadline when none is given (default 30s)
 	MaxTimeout     time.Duration // hard cap on client-requested deadlines (default 2m)
-
-	PlanCacheSize int // shared plan cache capacity (default lineage.DefaultPlanCacheSize)
 }
 
 func (c *Config) fillDefaults() error {
@@ -82,20 +78,16 @@ func (c *Config) fillDefaults() error {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 2 * time.Minute
 	}
-	if c.PlanCacheSize <= 0 {
-		c.PlanCacheSize = lineage.DefaultPlanCacheSize
-	}
 	return nil
 }
 
 // Server is the provenance query service. Create with New, expose with
 // Handler, stop with Drain.
 type Server struct {
-	cfg       Config
-	tenants   *tenantManager
-	adm       *admission
-	planCache *lineage.SharedPlanCache
-	mux       *http.ServeMux
+	cfg     Config
+	tenants *tenantManager
+	adm     *admission
+	mux     *http.ServeMux
 
 	// Drain protocol: handlers hold drainMu.RLock for their whole life and
 	// re-check draining after acquiring it; Drain sets the flag, then takes
@@ -116,9 +108,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:       cfg,
-		adm:       newAdmission(cfg.MaxInflight, cfg.QueueWait),
-		planCache: lineage.NewSharedPlanCache(cfg.PlanCacheSize),
+		cfg: cfg,
+		adm: newAdmission(cfg.MaxInflight, cfg.QueueWait),
 	}
 	s.tenants = newTenantManager(s.openTenant, cfg.MaxTenants, cfg.TenantRate, cfg.TenantBurst)
 	s.mux = http.NewServeMux()
@@ -135,20 +126,15 @@ func New(cfg Config) (*Server, error) {
 // /v1/ingest, /healthz, /readyz, /metrics and /debug/pprof/*.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// PlanCache exposes the shared cross-tenant plan cache (for tests and
-// introspection).
-func (s *Server) PlanCache() *lineage.SharedPlanCache { return s.planCache }
-
 // OpenTenants reports how many tenant store handles are currently open.
 func (s *Server) OpenTenants() int { return s.tenants.openCount() }
 
 // openTenant builds a tenant's core.System: the tenant's substituted store
 // DSN, the bundled workflow registry (same set provq registers), any extra
-// JSON-defined workflows, and the server's shared plan cache scoped to the
-// tenant name.
+// JSON-defined workflows.
 func (s *Server) openTenant(name string) (*core.System, error) {
 	dsn := strings.ReplaceAll(s.cfg.StoreTemplate, "{tenant}", name)
-	sys, err := core.NewSystem(core.WithStoreDSN(dsn), core.WithPlanCache(s.planCache, name))
+	sys, err := core.NewSystem(core.WithStoreDSN(dsn))
 	if err != nil {
 		return nil, err
 	}

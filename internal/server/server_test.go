@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/obs"
 )
 
 // seedTenant materialises a tenant's file-backed store under dir by running
@@ -116,7 +117,7 @@ func waitGoroutines(t *testing.T, baseline int) {
 
 // TestServeQueryTenantIsolation: a run stored under tenant t0 answers for
 // t0 and is invisible (404) from tenant t1 — namespaces never share data
-// even though both tenants share the plan cache and admission machinery.
+// even though both tenants share the admission machinery.
 func TestServeQueryTenantIsolation(t *testing.T) {
 	dir := t.TempDir()
 	ids := seedTenant(t, dir, "t0", 4, 3, 1)
@@ -150,6 +151,34 @@ func TestServeQueryTenantIsolation(t *testing.T) {
 
 // TestServeBadRequests pins the 400 surface: bad tenant names (the DSN
 // splice guard), missing parameters, unknown directions and methods.
+// TestTenantsShareNoPlanTable: every tenant's evaluators keep their own
+// template table, so tenant t1's first query of a shape t0 already compiled
+// is a miss, not a hit on t0's template.
+func TestTenantsShareNoPlanTable(t *testing.T) {
+	dir := t.TempDir()
+	ids0 := seedTenant(t, dir, "t0", 4, 3, 1)
+	ids1 := seedTenant(t, dir, "t1", 4, 3, 1)
+	_, ts := newTestServer(t, dir, Config{})
+	hits, misses := obs.C("lineage.indexproj.plan_cache_hits"), obs.C("lineage.indexproj.plan_cache_misses")
+	query := func(tenant, run string) (dHits, dMisses int64) {
+		t.Helper()
+		h0, m0 := hits.Load(), misses.Load()
+		if status, body := get(t, queryURL(ts.URL, tenant, "run", run, nil)); status != http.StatusOK {
+			t.Fatalf("%s query: status %d, body %s", tenant, status, body)
+		}
+		return hits.Load() - h0, misses.Load() - m0
+	}
+	if h, m := query("t0", ids0[0]); h != 0 || m != 1 {
+		t.Errorf("t0 first query: %d hits, %d misses; want 0, 1", h, m)
+	}
+	if h, m := query("t0", ids0[0]); h != 1 || m != 0 {
+		t.Errorf("t0 second query: %d hits, %d misses; want 1, 0", h, m)
+	}
+	if h, m := query("t1", ids1[0]); h != 0 || m != 1 {
+		t.Errorf("t1 first query of t0's shape: %d hits, %d misses; want 0, 1", h, m)
+	}
+}
+
 func TestServeBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir(), Config{})
 	for _, q := range []string{

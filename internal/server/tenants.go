@@ -17,8 +17,7 @@ var tenantName = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_-]{0,63}$`)
 
 // tenant is one open namespace: a full core.System (store handle + workflow
 // registry + evaluators) plus the bookkeeping the LRU needs. A tenant's
-// evaluators compile through the server's shared plan cache under the
-// tenant's name as scope.
+// evaluators, and so its template tables, are its own.
 type tenant struct {
 	name    string
 	sys     *core.System

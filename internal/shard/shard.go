@@ -61,8 +61,7 @@ type Manifest struct {
 	Vnodes  int    `json:"vnodes"`  // virtual points per shard
 	// Replicas is the number of store copies behind each logical shard
 	// (primary + followers). Absent in pre-replication manifests, which
-	// load as 1. Replication does not affect run routing, so it is not
-	// part of the topology generation.
+	// load as 1. Replication does not affect run routing.
 	Replicas int `json:"replicas,omitempty"`
 }
 
@@ -424,15 +423,6 @@ func writeManifest(dir string, m Manifest) error {
 		return fmt.Errorf("shard: %w", err)
 	}
 	return nil
-}
-
-// TopologyGen implements store.TopologyVersioner: a fingerprint of every
-// manifest parameter run routing depends on. Two opens of a sharded store
-// report the same generation exactly when they route every run identically,
-// so plan-cache keys carrying the generation can never serve entries cached
-// against a different ring.
-func (s *ShardedStore) TopologyGen() string {
-	return fmt.Sprintf("%s/n=%d/v=%d", s.manifest.Hash, s.manifest.Shards, s.manifest.Vnodes)
 }
 
 // Checkpoint implements store.Checkpointer: followers first catch up to

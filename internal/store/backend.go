@@ -73,17 +73,6 @@ type Backend interface {
 
 var _ Backend = (*Store)(nil)
 
-// TopologyVersioner is an optional interface a store implements when its
-// physical layout can differ between opens of "the same" data (a sharded
-// store's consistent-hash ring). TopologyGen returns a stable fingerprint of
-// that layout; consumers that cache state derived against one layout — the
-// lineage plan cache — pin the generation into their cache keys so a store
-// reopened under a different topology never answers from stale entries.
-// Stores without partitioned layout return a constant.
-type TopologyVersioner interface {
-	TopologyGen() string
-}
-
 // Checkpointer is an optional interface a store implements when it can bound
 // its recovery work on demand: Checkpoint snapshots durable state and
 // truncates the write-ahead log. provd's graceful drain checkpoints every

@@ -17,6 +17,12 @@ var (
 	// ErrUnknownRun reports an operation against a run ID the store does
 	// not hold.
 	ErrUnknownRun = errors.New("store: unknown run")
+	// ErrUnavailable is the sentinel wrapped by every "all replicas
+	// exhausted" failure (resilience.ErrUnavailable is the same value).
+	// Callers that can degrade (the multi-run executor's Partial mode) match
+	// it with errors.Is to distinguish an unavailable shard — answerable
+	// minus its runs — from a semantic failure that must surface.
+	ErrUnavailable = errors.New("resilience: unavailable")
 )
 
 // Retry policy for transient storage errors (reldb.IsTransient): a failed

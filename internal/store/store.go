@@ -237,10 +237,6 @@ func (s *Store) Checkpoint() error {
 	return err
 }
 
-// TopologyGen implements TopologyVersioner: a single store is one undivided
-// keyspace, so every open shares the same generation.
-func (s *Store) TopologyGen() string { return "single" }
-
 func sqlEscape(s string) string {
 	out := make([]byte, 0, len(s))
 	for i := 0; i < len(s); i++ {
