@@ -390,28 +390,22 @@ func TestObsOverheadBudget(t *testing.T) {
 type repostore = store.Store
 
 // BenchmarkIngest measures bulk trace ingestion on a small testbed
-// workload: the same pre-generated traces loaded per-row, through buffered
-// batch writers, and through the concurrent ingest executor (the modes of
-// the `ingest` experiment, results/ingest.csv).
+// workload: the same pre-generated traces loaded with a flush after every
+// event (BatchRows 1), in default-size batches, and through the concurrent
+// ingest executor (the modes of the `ingest` experiment, results/ingest.csv).
 func BenchmarkIngest(b *testing.B) {
 	traces, err := bench.GenerateTestbedTraces(10, 25, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var records int
-	perRow := func(st *repostore, ts []*trace.Trace) error {
-		for _, tr := range ts {
-			if err := st.StoreTrace(tr); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for _, tc := range []struct {
 		name string
 		load func(*repostore, []*trace.Trace) error
 	}{
-		{"per_row", perRow},
+		{"batch_rows_1", func(st *repostore, ts []*trace.Trace) error {
+			return st.IngestTraces(context.Background(), ts, store.IngestOptions{Parallelism: 1, BatchRows: 1})
+		}},
 		{"batched", func(st *repostore, ts []*trace.Trace) error {
 			return st.IngestTraces(context.Background(), ts, store.IngestOptions{Parallelism: 1})
 		}},

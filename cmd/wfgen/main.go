@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	d := fs.Int("d", 10, "input size per run (testbed list size, GK gene lists, PD abstracts)")
 	dsn := fs.String("store", "", "ingest target DSN (memory:<name>, file:<path>, durable:<dir>, shard:<dir>?n=N&r=R; default private memory)")
 	parallel := fs.Int("parallel", store.DefaultIngestParallelism, "runs ingested concurrently")
-	batch := fs.Int("batch", store.DefaultBatchRows, "buffered-writer flush threshold in rows (1 = per-row)")
+	batch := fs.Int("batch", store.DefaultBatchRows, "run-writer flush threshold in rows (1 = flush after every event)")
 	timeout := fs.Duration("timeout", 0, "abort ingest after this long (0 = no limit)")
 	oo := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -111,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // ingest executes the workflow `runs` times and loads the traces through the
 // store's concurrent bulk-ingest executor, streaming each run's events
-// straight into a buffered writer.
+// straight into a run writer.
 func ingest(ctx context.Context, stdout io.Writer, w *workflow.Workflow, kind string, runs, d int, dsn string, parallel, batch int) error {
 	if d < 1 {
 		return fmt.Errorf("input size must be positive, got %d", d)

@@ -82,7 +82,7 @@ func TestIngestModes(t *testing.T) {
 		args []string
 	}{
 		{"testbed batched parallel", []string{"-wf", "testbed", "-l", "5", "-d", "5", "-runs", "3", "-parallel", "2", "-batch", "64"}},
-		{"testbed per-row", []string{"-wf", "testbed", "-l", "5", "-d", "5", "-runs", "2", "-parallel", "1", "-batch", "1"}},
+		{"testbed batch=1", []string{"-wf", "testbed", "-l", "5", "-d", "5", "-runs", "2", "-parallel", "1", "-batch", "1"}},
 		{"gk", []string{"-wf", "gk", "-runs", "2", "-d", "2"}},
 		{"pd", []string{"-wf", "pd", "-runs", "2", "-d", "3"}},
 	} {

@@ -202,7 +202,7 @@ func TestIngestQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// per-row, batched P=1, batched P=4.
+	// BatchRows=1, batched P=1, batched P=4.
 	if len(rep.Rows) != 3 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}

@@ -281,16 +281,9 @@ func Fig6(o Options) (*Report, error) {
 	focus := FocusedSet()
 	for n := 1; n <= maxRuns; n++ {
 		if n > 1 {
-			runID := fmt.Sprintf("run%03d", n-1)
-			w, err := env.Store.NewRunWriter(runID, env.WF.Name)
-			if err != nil {
+			if err := storeRun(env.Store, eng, fmt.Sprintf("run%03d", n-1), env.WF, gen.TestbedInputs(d)); err != nil {
 				return nil, err
 			}
-			if _, err := eng.Run(env.WF, gen.TestbedInputs(d), w); err != nil {
-				w.Close()
-				return nil, err
-			}
-			w.Close()
 		}
 		total, err := env.Store.TotalRecords("")
 		if err != nil {

@@ -71,20 +71,26 @@ func PopulateTestbed(l, d, runs int) (*TestbedEnv, error) {
 	env := &TestbedEnv{WF: wf, Store: st, L: l, D: d}
 	for r := 0; r < runs; r++ {
 		runID := fmt.Sprintf("run%03d", r)
-		w, err := st.NewRunWriter(runID, wf.Name)
-		if err != nil {
+		if err := storeRun(st, eng, runID, wf, gen.TestbedInputs(d)); err != nil {
 			st.Close()
 			return nil, err
 		}
-		if _, err := eng.Run(wf, gen.TestbedInputs(d), w); err != nil {
-			w.Close()
-			st.Close()
-			return nil, err
-		}
-		w.Close()
 		env.RunIDs = append(env.RunIDs, runID)
 	}
 	return env, nil
+}
+
+// storeRun executes wf on inputs and stores its trace as run runID.
+func storeRun(st *store.Store, eng *engine.Engine, runID string, wf *workflow.Workflow, inputs map[string]value.Value) error {
+	w, err := st.NewRunWriter(context.Background(), runID, wf.Name, 0)
+	if err != nil {
+		return err
+	}
+	if _, err := eng.Run(wf, inputs, w); err != nil {
+		w.Close()
+		return err
+	}
+	return w.Close()
 }
 
 // QueryIndex is the element the testbed lineage queries target: a middle
@@ -148,32 +154,18 @@ func PopulateGKPD(runs int) (*GKPDEnv, error) {
 	env := &GKPDEnv{Store: st, GK: gen.GenesToKegg(), PD: gen.ProteinDiscovery()}
 	for r := 0; r < runs; r++ {
 		gkID := fmt.Sprintf("gk%03d", r)
-		w, err := st.NewRunWriter(gkID, env.GK.Name)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
 		// Sweep the input size across runs, as a parameter sweep would.
-		if _, err := eng.Run(env.GK, gen.GKInputs(3+r%3, 4), w); err != nil {
-			w.Close()
+		if err := storeRun(st, eng, gkID, env.GK, gen.GKInputs(3+r%3, 4)); err != nil {
 			st.Close()
 			return nil, err
 		}
-		w.Close()
 		env.GKRuns = append(env.GKRuns, gkID)
 
 		pdID := fmt.Sprintf("pd%03d", r)
-		w, err = st.NewRunWriter(pdID, env.PD.Name)
-		if err != nil {
+		if err := storeRun(st, eng, pdID, env.PD, gen.PDInputs(fmt.Sprintf("query sweep %d", r), 8)); err != nil {
 			st.Close()
 			return nil, err
 		}
-		if _, err := eng.Run(env.PD, gen.PDInputs(fmt.Sprintf("query sweep %d", r), 8), w); err != nil {
-			w.Close()
-			st.Close()
-			return nil, err
-		}
-		w.Close()
 		env.PDRuns = append(env.PDRuns, pdID)
 	}
 	return env, nil

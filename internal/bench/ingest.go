@@ -39,8 +39,9 @@ type ingestMode struct {
 
 // Ingest measures bulk trace-ingest throughput on the Fig. 5 testbed
 // workload (l=75, d=50, 8 runs; reduced in quick mode): the same
-// pre-generated traces loaded per-row, through buffered batch writers, and
-// through the concurrent ingest executor. Rows/sec counts the Table 1
+// pre-generated traces loaded through the run writer with a flush after
+// every event (BatchRows=1), in default-size batches, and through the
+// concurrent ingest executor. Rows/sec counts the Table 1
 // event records (xform_in + xform_out + xfer); every mode stores an
 // identical database, checked via record counts after each load.
 func Ingest(o Options) (*Report, error) {
@@ -55,13 +56,8 @@ func Ingest(o Options) (*Report, error) {
 
 	ctx := o.ctx()
 	modes := []ingestMode{
-		{"per-row", func(s *store.Store, ts []*trace.Trace) error {
-			for _, tr := range ts {
-				if err := s.StoreTrace(tr); err != nil {
-					return err
-				}
-			}
-			return nil
+		{"BatchRows=1 P=1", func(s *store.Store, ts []*trace.Trace) error {
+			return s.IngestTraces(ctx, ts, store.IngestOptions{Parallelism: 1, BatchRows: 1})
 		}},
 		{"batched P=1", func(s *store.Store, ts []*trace.Trace) error {
 			return s.IngestTraces(ctx, ts, store.IngestOptions{Parallelism: 1})
@@ -73,10 +69,10 @@ func Ingest(o Options) (*Report, error) {
 
 	rep := &Report{
 		ID:    "ingest",
-		Title: "Bulk trace-ingest throughput: per-row vs. batched vs. batched+parallel",
+		Title: "Bulk trace-ingest throughput: BatchRows=1 vs. batched vs. batched+parallel",
 		Caption: fmt.Sprintf("Testbed l=%d, d=%d, %d runs, pre-generated traces; batch = %d rows.\n"+
 			"rows = Table 1 event records stored; every mode loads an identical\n"+
-			"database. speedup is rows/sec over the per-row baseline. flushes and\n"+
+			"database. speedup is rows/sec over the BatchRows=1 baseline. flushes and\n"+
 			"flush_ms come from the store's obs counters (per rep / per flush).",
 			l, d, runs, store.DefaultBatchRows),
 		Columns: []string{"mode", "runs", "rows", "elapsed_ms", "rows_per_sec", "speedup",
@@ -118,7 +114,7 @@ func Ingest(o Options) (*Report, error) {
 			return nil, fmt.Errorf("bench: ingest mode %q stored %d rows, baseline stored %d", m.label, rows, wantRows)
 		}
 		// Counter-derived flush stats across the reps of this mode: number of
-		// buffered-writer flushes per rep and mean wall time per flush.
+		// run-writer flushes per rep and mean wall time per flush.
 		dm := obs.Default.Snapshot().Sub(s0)
 		flushes := dm.Counter("store.ingest.batches")
 		rate := int(float64(rows) / best.Seconds())

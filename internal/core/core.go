@@ -240,13 +240,17 @@ func (s *System) Run(workflowName string, inputs map[string]value.Value) (*RunRe
 	}
 	s.mu.Unlock()
 
-	writer, err := s.st.NewRunWriter(runID, workflowName)
+	writer, err := s.st.NewRunWriter(context.Background(), runID, workflowName, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer writer.Close()
 	outs, err := s.eng.Run(w, inputs, writer)
 	if err != nil {
+		writer.Close()
+		return nil, fmt.Errorf("core: run %s: %w", runID, err)
+	}
+	// The writer buffers: the run is stored only once Close has flushed it.
+	if err := writer.Close(); err != nil {
 		return nil, fmt.Errorf("core: run %s: %w", runID, err)
 	}
 	s.mu.Lock()

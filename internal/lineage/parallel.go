@@ -248,7 +248,7 @@ func (ip *IndexProj) executeMultiRun(ctx context.Context, plan *CompiledPlan, q 
 	close(work)
 	wg.Wait()
 
-	if err := firstError(ctx, errs); err != nil {
+	if err := store.FirstError(ctx, errs); err != nil {
 		return nil, err
 	}
 	msp := obs.Start(mrMergeNs)
@@ -258,33 +258,6 @@ func (ip *IndexProj) executeMultiRun(ctx context.Context, plan *CompiledPlan, q 
 	}
 	msp.End()
 	return finish(result), nil
-}
-
-// firstError selects the error to surface from a pool run: a real failure
-// beats a secondary cancellation error, and if the caller's own context was
-// cancelled, its error is authoritative.
-func firstError(ctx context.Context, errs []error) error {
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if first == nil {
-			first = err
-			continue
-		}
-		if isCancellation(first) && !isCancellation(err) {
-			first = err
-		}
-	}
-	if first != nil && isCancellation(first) && ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return first
-}
-
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // executeProbeChunk answers one probe for one chunk of runs. With a column

@@ -19,56 +19,27 @@ import (
 // ingest win: N group-committing writers instead of one.
 //
 // With replication (R > 1) bulk ingest dual-writes: each run's events fan
-// out through a trace.MultiCollector to a buffered writer on every replica
-// of the owning shard, so followers are populated inline instead of waiting
-// for the next checkpoint's catch-up copy. Single-run writers
-// (NewRunWriter / NewBufferedRunWriter) hand the caller a live collector
-// bound to one engine, so they land on the primary only and followers
-// converge at the next Checkpoint.
+// out through a trace.MultiCollector to a run writer on every replica of the
+// owning shard, so followers are populated inline instead of waiting for the
+// next checkpoint's catch-up copy. StoreTrace is bulk ingest of one trace. A
+// single-run writer (NewRunWriter) hands the caller a live collector bound
+// to one engine, so it lands on the primary only and followers converge at
+// the next Checkpoint.
 
-// NewRunWriter registers a run on its owning shard's primary and returns an
-// unbuffered collector. With R > 1 the followers converge at the next
+// NewRunWriter registers a run on its owning shard's primary and returns a
+// batching collector. With R > 1 the followers converge at the next
 // Checkpoint (or Open) via catch-up copy.
-func (s *ShardedStore) NewRunWriter(runID, workflowName string) (*store.RunWriter, error) {
+func (s *ShardedStore) NewRunWriter(ctx context.Context, runID, workflowName string, batchRows int) (*store.RunWriter, error) {
 	i := s.ring.owner(runID)
 	s.noteRouted(i)
-	return s.primary(i).NewRunWriter(runID, workflowName)
-}
-
-// NewBufferedRunWriter registers a run on its owning shard's primary and
-// returns a batching collector; followers converge at the next Checkpoint.
-func (s *ShardedStore) NewBufferedRunWriter(ctx context.Context, runID, workflowName string, batchRows int) (*store.RunWriter, error) {
-	i := s.ring.owner(runID)
-	s.noteRouted(i)
-	return s.primary(i).NewBufferedRunWriter(ctx, runID, workflowName, batchRows)
+	return s.primary(i).NewRunWriter(ctx, runID, workflowName, batchRows)
 }
 
 // StoreTrace persists one complete in-memory trace on every replica of its
-// owning shard (primary first; follower writes retry per the resilience
-// policy). If any replica fails, the run is rolled back everywhere and the
-// joined, replica-attributed error is returned.
+// owning shard: IngestTraces of that one trace, so a replicated run is
+// rolled back everywhere if any replica fails.
 func (s *ShardedStore) StoreTrace(t *trace.Trace) error {
-	i := s.ring.owner(t.RunID)
-	s.noteRouted(i)
-	rs := s.replicaSets[i]
-	if err := rs.reps[0].st.StoreTrace(t); err != nil {
-		return shardErr(i, err)
-	}
-	pol := s.policy
-	var errs []error
-	for j := 1; j < len(rs.reps); j++ {
-		f := rs.reps[j].st
-		if err := pol.Do(nil, func() error { return f.StoreTrace(t) }); err != nil {
-			errs = append(errs, fmt.Errorf("shard %d replica %d: %w", i, j, err))
-		}
-	}
-	if len(errs) == 0 {
-		return nil
-	}
-	for _, rep := range rs.reps {
-		rep.st.DeleteRun(t.RunID) // best-effort rollback; strays also fixed at checkpoint
-	}
-	return errors.Join(errs...)
+	return s.IngestTraces(context.Background(), []*trace.Trace{t}, store.IngestOptions{})
 }
 
 // Ingest loads the tasks' runs concurrently, grouped by owning shard: each
@@ -145,32 +116,25 @@ func (s *ShardedStore) ingestShard(ctx context.Context, i int, tasks []store.Ing
 	return s.ingestReplicated(ctx, rs, tasks, opt)
 }
 
-// ingestReplicated is the R>1 ingest pool for one shard: every run's events
-// tee through a trace.MultiCollector into a buffered writer on each replica,
-// so all copies commit the run before the task counts as done. A failed run
-// is rolled back on every replica. The checkpoint cadence checkpoints the
-// whole replica set together.
+// ingestReplicated ingests one replicated shard's task group through the
+// store's ingest pool: every run's events tee through a
+// trace.MultiCollector into a run writer on each replica, so all copies
+// commit the run before the task counts as done. A run that fails — or
+// panics — is rolled back on every replica it was registered on. The
+// checkpoint cadence checkpoints the whole replica set together.
 func (s *ShardedStore) ingestReplicated(ctx context.Context, rs *replicaSet, tasks []store.IngestTask, opt store.IngestOptions) error {
-	o := opt
-	if o.Parallelism == 0 {
-		o.Parallelism = store.DefaultIngestParallelism
-	}
-	if o.Parallelism < 1 {
-		o.Parallelism = 1
-	}
-
 	var (
 		ckptMu sync.Mutex
 		done   int
 	)
 	maybeCheckpoint := func() error {
-		if o.CheckpointEveryRuns <= 0 {
+		if opt.CheckpointEveryRuns <= 0 {
 			return nil
 		}
 		ckptMu.Lock()
 		defer ckptMu.Unlock()
 		done++
-		if done%o.CheckpointEveryRuns != 0 {
+		if done%opt.CheckpointEveryRuns != 0 {
 			return nil
 		}
 		var errs []error
@@ -182,25 +146,32 @@ func (s *ShardedStore) ingestReplicated(ctx context.Context, rs *replicaSet, tas
 		return errors.Join(errs...)
 	}
 
-	ingestOne := func(t store.IngestTask) error {
-		ws := make([]*store.RunWriter, 0, len(rs.reps))
-		mc := make(trace.MultiCollector, 0, len(rs.reps))
-		rollback := func() {
-			for _, rep := range rs.reps {
-				rep.st.DeleteRun(t.RunID)
-			}
+	return store.IngestPool(ctx, opt.Parallelism, tasks, func(ctx context.Context, t store.IngestTask) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		if t.Emit == nil {
+			return fmt.Errorf("ingest task %q has no Emit", t.RunID)
+		}
+		ws := make([]*store.RunWriter, 0, len(rs.reps))
+		committed := false
+		defer func() {
+			if !committed { // only the replicas this task registered the run on
+				for j := range ws {
+					rs.reps[j].st.DeleteRun(t.RunID)
+				}
+			}
+		}()
+		mc := make(trace.MultiCollector, 0, len(rs.reps))
 		for j, rep := range rs.reps {
-			w, err := rep.st.NewBufferedRunWriter(ctx, t.RunID, t.Workflow, o.BatchRows)
+			w, err := rep.st.NewRunWriter(ctx, t.RunID, t.Workflow, opt.BatchRows)
 			if err != nil {
-				rollback()
 				return fmt.Errorf("replica %d: ingesting run %q: %w", j, t.RunID, err)
 			}
 			ws = append(ws, w)
 			mc = append(mc, w)
 		}
 		if err := t.Emit(mc); err != nil {
-			rollback()
 			return fmt.Errorf("ingesting run %q: %w", t.RunID, err)
 		}
 		var errs []error
@@ -210,56 +181,11 @@ func (s *ShardedStore) ingestReplicated(ctx context.Context, rs *replicaSet, tas
 			}
 		}
 		if len(errs) > 0 {
-			rollback()
 			return errors.Join(errs...)
 		}
+		committed = true
 		return maybeCheckpoint()
-	}
-
-	if o.Parallelism == 1 {
-		for _, t := range tasks {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := ingestOne(t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	taskC := make(chan store.IngestTask)
-	errs := make([]error, o.Parallelism)
-	var wg sync.WaitGroup
-	for w := 0; w < o.Parallelism; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for t := range taskC {
-				if wctx.Err() != nil {
-					return
-				}
-				if err := ingestOne(t); err != nil {
-					errs[w] = err
-					cancel()
-					return
-				}
-			}
-		}(w)
-	}
-feed:
-	for _, t := range tasks {
-		select {
-		case taskC <- t:
-		case <-wctx.Done():
-			break feed
-		}
-	}
-	close(taskC)
-	wg.Wait()
-	return store.FirstError(ctx, errs)
+	})
 }
 
 // IngestTraces bulk-loads a set of recorded traces across the shards.

@@ -30,7 +30,6 @@ import (
 	"strings"
 
 	"repro/internal/resilience"
-	"repro/internal/sqlike"
 	"repro/internal/store"
 )
 
@@ -263,7 +262,7 @@ func OpenMemoryReplicated(n, r int) (*ShardedStore, error) {
 	for i := range dsns {
 		dsns[i] = make([]string, r)
 		for j := range dsns[i] {
-			dsns[i][j] = sqlike.MemoryDSN()
+			dsns[i][j] = store.MemoryDSN()
 		}
 	}
 	return open(fmt.Sprintf("shard:mem?n=%d&r=%d", n, r), "", man, dsns)

@@ -1,9 +1,9 @@
 // Package sqlike implements a small SQL dialect over the reldb storage
 // engine and exposes it as a database/sql driver (registered under the name
 // "provsql"). It stands in for the MySQL + JDBC stack of the paper's
-// implementation. The provenance store uses it for DDL, the per-row write
-// path and administration, and hands it out for ad-hoc queries (Store.DB);
-// its lineage probes go straight to reldb's indexes, and the statements
+// implementation. The provenance store uses it for DDL and administration,
+// and hands it out for ad-hoc queries (Store.DB); its writes and lineage
+// probes go straight to reldb, and the probe statements
 // they replaced live on as the reference the store's differential test
 // compares them with.
 //

@@ -37,11 +37,9 @@ type Backend interface {
 	LineageQuerier
 	TraceQuerier
 
-	// NewRunWriter registers a run and returns an unbuffered collector.
-	NewRunWriter(runID, workflowName string) (*RunWriter, error)
-	// NewBufferedRunWriter registers a run and returns a batching collector.
-	NewBufferedRunWriter(ctx context.Context, runID, workflowName string, batchRows int) (*RunWriter, error)
-	// Ingest loads every task's run concurrently through buffered writers.
+	// NewRunWriter registers a run and returns a batching collector.
+	NewRunWriter(ctx context.Context, runID, workflowName string, batchRows int) (*RunWriter, error)
+	// Ingest loads every task's run concurrently through run writers.
 	Ingest(ctx context.Context, tasks []IngestTask, opt IngestOptions) error
 	// IngestTraces bulk-loads a set of recorded traces.
 	IngestTraces(ctx context.Context, traces []*trace.Trace, opt IngestOptions) error

@@ -206,13 +206,13 @@ func TestBufferedWriterCancelledContext(t *testing.T) {
 
 	dead, cancelDead := context.WithCancel(context.Background())
 	cancelDead()
-	if _, err := s.NewBufferedRunWriter(dead, "w1", "wf", 8); !errors.Is(err, context.Canceled) {
-		t.Fatalf("NewBufferedRunWriter under cancelled ctx = %v, want context.Canceled", err)
+	if _, err := s.NewRunWriter(dead, "w1", "wf", 8); !errors.Is(err, context.Canceled) {
+		t.Fatalf("NewRunWriter under cancelled ctx = %v, want context.Canceled", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w, err := s.NewBufferedRunWriter(ctx, "w2", traces[0].Workflow, 1<<20)
+	w, err := s.NewRunWriter(ctx, "w2", traces[0].Workflow, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,9 @@
 // (run, processor, port, index), so that both the naïve traversal and the
 // INDEXPROJ algorithm issue only index-backed point and prefix lookups.
 // Those lookups are typed range scans of the embedded engine's indexes
-// (internal/reldb); SQL (the sqlike driver behind database/sql) carries the
-// schema, the per-row write path and the ad-hoc/admin surface.
+// (internal/reldb), and run writers flush typed row batches into the same
+// engine; SQL (the sqlike driver behind database/sql) carries the schema
+// and the ad-hoc/admin surface.
 package store
 
 import (

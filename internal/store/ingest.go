@@ -12,7 +12,7 @@ import (
 )
 
 // This file implements the concurrent bulk-ingest executor: many runs loaded
-// into one store through buffered writers over a worker pool. Runs are
+// into one store through run writers over a worker pool. Runs are
 // independent rows partitioned by run_id, so their writers never conflict
 // logically; physically each batch flush is one engine-level multi-row
 // insert (one lock acquisition, one group-committed WAL record per table),
@@ -36,9 +36,9 @@ type IngestOptions struct {
 	// Parallelism is the number of runs ingested concurrently. Values <= 0
 	// select DefaultIngestParallelism; 1 ingests sequentially.
 	Parallelism int
-	// BatchRows is the buffered writer's flush threshold (rows across all
-	// event tables per multi-row flush). 0 means DefaultBatchRows; 1
-	// effectively disables batching, reproducing per-row ingest.
+	// BatchRows is the run writer's flush threshold (rows across all event
+	// tables per multi-row flush). 0 means DefaultBatchRows; 1 flushes after
+	// every event.
 	BatchRows int
 	// CheckpointEveryRuns, when > 0 on a durable store, checkpoints the
 	// store after every N completed runs: a fresh snapshot is written and
@@ -47,16 +47,6 @@ type IngestOptions struct {
 	// of events no matter how large the bulk load is. 0 never checkpoints
 	// (the WAL grows for the whole load). Non-durable stores ignore it.
 	CheckpointEveryRuns int
-}
-
-func (o IngestOptions) normalize() IngestOptions {
-	if o.Parallelism <= 0 {
-		o.Parallelism = DefaultIngestParallelism
-	}
-	if o.BatchRows <= 0 {
-		o.BatchRows = DefaultBatchRows
-	}
-	return o
 }
 
 // IngestTask is one run to load: Emit replays the run's provenance events
@@ -68,18 +58,16 @@ type IngestTask struct {
 	Emit     func(trace.Collector) error
 }
 
-// Ingest loads every task's run into the store concurrently through
-// buffered writers. Each run gets its own writer (run registration stays
-// serialized through the SQL layer; event rows flush as multi-row batches).
-// The first error cancels remaining work and is returned; completed runs
-// stay in the store. Cancelling ctx aborts the load with the context's
-// error; runs whose final flush was acknowledged before the cancellation
-// remain.
+// Ingest loads every task's run into the store concurrently, each run
+// through its own writer (registration is one atomic step per run; event
+// rows flush as multi-row batches). The first error cancels remaining work
+// and is returned; completed runs stay in the store. Cancelling ctx aborts
+// the load with the context's error; runs whose final flush was
+// acknowledged before the cancellation remain.
 func (s *Store) Ingest(ctx context.Context, tasks []IngestTask, opt IngestOptions) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opt = opt.normalize()
 	var done atomic.Int64
 	var ckptMu sync.Mutex
 	maybeCheckpoint := func() error {
@@ -96,14 +84,14 @@ func (s *Store) Ingest(ctx context.Context, tasks []IngestTask, opt IngestOption
 		defer ckptMu.Unlock()
 		return s.Checkpoint()
 	}
-	ingestOne := func(ctx context.Context, t IngestTask) error {
+	return IngestPool(ctx, opt.Parallelism, tasks, func(ctx context.Context, t IngestTask) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if t.Emit == nil {
 			return fmt.Errorf("store: ingest task %q has no Emit", t.RunID)
 		}
-		w, err := s.NewBufferedRunWriter(ctx, t.RunID, t.Workflow, opt.BatchRows)
+		w, err := s.NewRunWriter(ctx, t.RunID, t.Workflow, opt.BatchRows)
 		if err != nil {
 			return err
 		}
@@ -116,29 +104,35 @@ func (s *Store) Ingest(ctx context.Context, tasks []IngestTask, opt IngestOption
 		}
 		obsIngestRuns.Add(1)
 		return maybeCheckpoint()
-	}
+	})
+}
 
-	if opt.Parallelism == 1 || len(tasks) <= 1 {
-		for _, t := range tasks {
-			if err := ingestOne(ctx, t); err != nil {
-				return err
-			}
-		}
-		return nil
+// IngestPool runs ingest over every task on up to workers goroutines (<= 0
+// selects DefaultIngestParallelism; 1 runs the tasks in order). The first
+// failure cancels the context the other tasks receive, so they stop at
+// their next task or their writer's next event; the remaining backlog is
+// drained, not run. A panicking task is confined to its worker, converted
+// into an error carrying the stack, and cancels the rest the same way. The
+// error returned is chosen by FirstError.
+func IngestPool(ctx context.Context, workers int, tasks []IngestTask, ingest func(context.Context, IngestTask) error) error {
+	if workers <= 0 {
+		workers = DefaultIngestParallelism
 	}
-
-	workers := opt.Parallelism
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	work := make(chan IngestTask, len(tasks))
+	for _, t := range tasks {
+		work <- t
+	}
+	close(work)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range errs {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			// A panic in task code must not take down the process or wedge
 			// the pool: confine it to this worker, keep the error (with the
@@ -153,28 +147,22 @@ func (s *Store) Ingest(ctx context.Context, tasks []IngestTask, opt IngestOption
 				if errs[w] != nil {
 					continue // drain after a failure
 				}
-				if err := ingestOne(wctx, t); err != nil {
+				if err := ingest(wctx, t); err != nil {
 					errs[w] = err
 					cancel() // first error stops the other workers
 				}
 			}
-		}(w)
+		}()
 	}
-	for _, t := range tasks {
-		work <- t
-	}
-	close(work)
 	wg.Wait()
-	return firstError(ctx, errs)
+	return FirstError(ctx, errs)
 }
 
 // FirstError selects the error to surface from a pool run: a real failure
 // beats a secondary cancellation error, and if the caller's own context was
-// cancelled, its error is authoritative. Exported for the sharded store,
-// whose per-shard ingest pools need the same first-error semantics.
-func FirstError(ctx context.Context, errs []error) error { return firstError(ctx, errs) }
-
-func firstError(ctx context.Context, errs []error) error {
+// cancelled, its error is authoritative. The multi-run query executor and
+// the sharded store's pools share it.
+func FirstError(ctx context.Context, errs []error) error {
 	var first error
 	for _, err := range errs {
 		if err == nil {
@@ -196,6 +184,12 @@ func firstError(ctx context.Context, errs []error) error {
 
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// StoreTrace persists one complete in-memory trace: IngestTraces of that one
+// trace with the default options.
+func (s *Store) StoreTrace(t *trace.Trace) error {
+	return s.IngestTraces(context.Background(), []*trace.Trace{t}, IngestOptions{})
 }
 
 // IngestTraces loads a set of recorded traces with the given options — the

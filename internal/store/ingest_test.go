@@ -47,8 +47,9 @@ func makeTraces(t *testing.T) []*trace.Trace {
 	return traces
 }
 
-// TestIngestEquivalence loads the same traces per-row and batched+parallel
-// and checks the two stores answer identically: integrity verification
+// TestIngestEquivalence loads the same traces sequentially at BatchRows=1
+// (a flush after every event) and batched+parallel, and checks the two
+// stores answer identically: integrity verification
 // passes, record counts match, reconstructed traces match, and focused and
 // unfocused INDEXPROJ lineage queries return equal results. Run under
 // -race this also exercises the concurrent ingest path for data races.
@@ -60,10 +61,8 @@ func TestIngestEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer perRow.Close()
-	for _, tr := range traces {
-		if err := perRow.StoreTrace(tr); err != nil {
-			t.Fatal(err)
-		}
+	if err := perRow.IngestTraces(context.Background(), traces, store.IngestOptions{Parallelism: 1, BatchRows: 1}); err != nil {
+		t.Fatal(err)
 	}
 
 	batched, err := store.OpenMemory()
@@ -170,10 +169,12 @@ func TestIngestEquivalence(t *testing.T) {
 	}
 }
 
-// TestBufferedWriterFlushBoundaries checks the buffered writer across batch
+// TestBufferedWriterFlushBoundaries checks the run writer across batch
 // sizes that do and do not divide the row count, including BatchRows 1
-// (flush per row) and a threshold larger than the whole run (single final
-// flush on Close).
+// (flush per event) and a threshold larger than the whole run (single final
+// flush on Close): every store loaded from one trace — by StoreTrace, by
+// IngestTraces at each batch size, and by a TailIngest feed — holds the same
+// record counts and reconstructs the same trace.
 func TestBufferedWriterFlushBoundaries(t *testing.T) {
 	tbWF := gen.Testbed(5)
 	reg := engine.NewRegistry()
@@ -196,13 +197,36 @@ func TestBufferedWriterFlushBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := ref.LoadTrace("ref")
+	if err != nil {
+		t.Fatal(err)
+	}
 
+	loads := map[string]func(*store.Store) error{
+		"tail": func(s *store.Store) error {
+			ch := make(chan trace.Event)
+			go func() {
+				defer close(ch)
+				for _, ev := range tr.Events() {
+					ch <- ev
+				}
+			}()
+			_, err := s.TailIngest(context.Background(), ch, store.TailOptions{})
+			return err
+		},
+	}
 	for _, batch := range []int{1, 3, 64, 1 << 20} {
+		batch := batch
+		loads[fmt.Sprintf("batch=%d", batch)] = func(s *store.Store) error {
+			return s.IngestTraces(context.Background(), []*trace.Trace{tr}, store.IngestOptions{BatchRows: batch})
+		}
+	}
+	for name, load := range loads {
 		s, err := store.OpenMemory()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.StoreTraceBatched(tr, batch); err != nil {
+		if err := load(s); err != nil {
 			t.Fatal(err)
 		}
 		in, out, xf, err := s.RecordCounts("ref")
@@ -210,15 +234,22 @@ func TestBufferedWriterFlushBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		if in != in0 || out != out0 || xf != xf0 {
-			t.Fatalf("batch=%d: counts (%d,%d,%d) != per-row (%d,%d,%d)",
-				batch, in, out, xf, in0, out0, xf0)
+			t.Fatalf("%s: counts (%d,%d,%d) != StoreTrace (%d,%d,%d)",
+				name, in, out, xf, in0, out0, xf0)
 		}
 		rep, err := s.Verify("ref", tbWF)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !rep.OK() {
-			t.Fatalf("batch=%d: verify failed:\n%s", batch, rep)
+			t.Fatalf("%s: verify failed:\n%s", name, rep)
+		}
+		got, err := s.LoadTrace("ref")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: reconstructed trace differs from StoreTrace's", name)
 		}
 		s.Close()
 	}

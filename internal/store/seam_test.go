@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/reldb"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -32,7 +34,7 @@ func TestHasRunSeesRegisteredRun(t *testing.T) {
 	defer s.Close()
 	register := func(runID string) {
 		t.Helper()
-		w, err := s.NewRunWriter(runID, "wf")
+		w, err := s.NewRunWriter(context.Background(), runID, "wf", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +119,7 @@ func TestViewValuesBatchIgnoresLaterRuns(t *testing.T) {
 		t.Fatalf("two runs sharing a tight value window took %d probes, want 1 cross-run scan", probes)
 	}
 	for i := 0; i < 200; i++ { // the live store grows past the cross-run scan's budget
-		w, err := s.NewRunWriter(fmt.Sprintf("later-%03d", i), "fig3")
+		w, err := s.NewRunWriter(context.Background(), fmt.Sprintf("later-%03d", i), "fig3", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +236,9 @@ func TestViewProbesOverlapWhileWriterCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.StoreTrace(late); err != nil {
+	// BatchRows 1: the writer commits after every event while the readers
+	// are parked.
+	if err := s.IngestTraces(context.Background(), []*trace.Trace{late}, IngestOptions{BatchRows: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Epoch() == v.Epoch() {

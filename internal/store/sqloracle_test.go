@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"database/sql"
 	"fmt"
 	"math/rand"
@@ -508,7 +509,7 @@ func TestDirectReadsMatchSQL(t *testing.T) {
 		first, burst := traces[:7], traces[7:]
 
 		// Half the runs, a checkpoint (column segments built), the rest
-		// through the other write path, then one run deleted.
+		// at a smaller batch size, then one run deleted.
 		for _, tr := range first[:3] {
 			if err := s.StoreTrace(tr); err != nil {
 				t.Fatal(err)
@@ -517,7 +518,7 @@ func TestDirectReadsMatchSQL(t *testing.T) {
 		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.StoreTraceBatched(first[3], 7); err != nil {
+		if err := s.IngestTraces(context.Background(), first[3:4], IngestOptions{BatchRows: 7}); err != nil {
 			t.Fatal(err)
 		}
 		for _, tr := range first[4:] {
@@ -562,7 +563,7 @@ func TestDirectReadsMatchSQL(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, tr := range burst {
-				if err := s.StoreTraceBatched(tr, 5); err != nil {
+				if err := s.IngestTraces(context.Background(), []*trace.Trace{tr}, IngestOptions{BatchRows: 5}); err != nil {
 					t.Error(err)
 				}
 				if i == 0 {

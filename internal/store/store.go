@@ -15,27 +15,23 @@ import (
 // Store is a handle on a provenance database. It is safe for concurrent use.
 // Lineage probes and the other reads are typed index scans issued straight
 // at the embedded engine (see reader.go): lock-free against its last
-// published version, so readers never wait on each other or on ingest. SQL
-// (db) carries what is not a probe: DDL and migration, the unbuffered
-// writers' INSERTs, run deletion, the dead-letter queue, and the ad-hoc
-// surface handed out by DB().
+// published version, so readers never wait on each other or on ingest. Run
+// writers register runs and flush their rows as typed engine calls too (see
+// writer.go). SQL (db) carries the rest: DDL and migration, run deletion,
+// the dead-letter queue, and the ad-hoc surface handed out by DB().
 type Store struct {
 	db  *sql.DB
 	dsn string
 	// rdb is the embedded engine behind dsn. Reads scan it directly, and
-	// buffered run writers flush multi-row batches straight into it (one
-	// lock acquisition + one group-committed WAL record per batch),
-	// bypassing the per-row SQL path.
+	// run writers flush multi-row batches straight into it (one lock
+	// acquisition + one group-committed WAL record per batch).
 	rdb *reldb.DB
 	// scans are the read path's access paths, prepared once per store.
 	scans scans
 
-	// The four event INSERT statements, prepared once per store and shared
-	// by every (unbuffered) RunWriter; *sql.Stmt is safe for concurrent use.
-	insVal  *sql.Stmt
-	insIn   *sql.Stmt
-	insOut  *sql.Stmt
-	insXfer *sql.Stmt
+	// regMu makes run registration (check the runs table for the ID, then
+	// insert it) one step; see registerRun.
+	regMu sync.Mutex
 
 	// runSet caches the stored run IDs (nil = unknown) so HasRun — called
 	// once per run by every multi-run query's validation pass — is a map
@@ -123,10 +119,6 @@ func Open(dsn string) (*Store, error) {
 		db.Close()
 		return nil, err
 	}
-	if err := s.prepareInserts(); err != nil {
-		db.Close()
-		return nil, err
-	}
 	if s.rdb, err = sqlike.DBFor(dsn); err != nil {
 		db.Close()
 		return nil, fmt.Errorf("store: %w", err)
@@ -135,27 +127,11 @@ func Open(dsn string) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) prepareInserts() error {
-	for _, p := range []struct {
-		dst   **sql.Stmt
-		query string
-	}{
-		{&s.insVal, `INSERT INTO vals (run_id, val_id, payload) VALUES (?, ?, ?)`},
-		{&s.insIn, `INSERT INTO xform_in (run_id, event_id, pos, proc, port, idx, ctx, val_id) VALUES (?, ?, ?, ?, ?, ?, ?, ?)`},
-		{&s.insOut, `INSERT INTO xform_out (run_id, event_id, proc, port, idx, ctx, val_id) VALUES (?, ?, ?, ?, ?, ?, ?)`},
-		{&s.insXfer, `INSERT INTO xfer (run_id, from_proc, from_port, from_idx, from_ctx, to_proc, to_port, to_idx, to_ctx, val_id) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`},
-	} {
-		st, err := s.db.Prepare(p.query)
-		if err != nil {
-			return fmt.Errorf("store: preparing %q: %w", p.query, err)
-		}
-		*p.dst = st
-	}
-	return nil
-}
+// MemoryDSN returns a fresh, private in-memory DSN.
+func MemoryDSN() string { return sqlike.MemoryDSN() }
 
 // OpenMemory opens a fresh, private in-memory provenance store.
-func OpenMemory() (*Store, error) { return Open(sqlike.MemoryDSN()) }
+func OpenMemory() (*Store, error) { return Open(MemoryDSN()) }
 
 func (s *Store) ensureSchema() error {
 	// The runs table existing means the schema is already in place; stores
@@ -193,11 +169,6 @@ func (s *Store) migrateIndexes() error {
 // Close releases the database handle. In-memory stores also release their
 // contents.
 func (s *Store) Close() error {
-	for _, st := range []*sql.Stmt{s.insVal, s.insIn, s.insOut, s.insXfer} {
-		if st != nil {
-			st.Close()
-		}
-	}
 	err := s.db.Close()
 	sqlike.Forget(s.dsn)
 	return err

@@ -1,8 +1,12 @@
 package store
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -154,8 +158,67 @@ func TestStoreTraceAndCounts(t *testing.T) {
 
 func TestDuplicateRunRejected(t *testing.T) {
 	s, _ := storeFig3(t)
-	if _, err := s.NewRunWriter("run1", "fig3"); err == nil {
+	if _, err := s.NewRunWriter(context.Background(), "run1", "fig3", 0); !errors.Is(err, ErrDuplicateRun) {
 		t.Error("duplicate run accepted")
+	}
+}
+
+// Of several writers registering one run ID at once, exactly one wins; the
+// others fail with ErrDuplicateRun, and the run is listed once.
+func TestConcurrentRegistrationOneWinner(t *testing.T) {
+	s, err := OpenMemory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const writers, trials = 8, 200
+	for trial := 0; trial < trials; trial++ {
+		runID := fmt.Sprintf("race-%03d", trial)
+		start := make(chan struct{})
+		errs := make(chan error, writers)
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				w, err := s.NewRunWriter(context.Background(), runID, "wf", 0)
+				if err == nil {
+					err = w.Close()
+				}
+				errs <- err
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		won := 0
+		for err := range errs {
+			if err == nil {
+				won++
+			} else if !errors.Is(err, ErrDuplicateRun) {
+				t.Fatalf("trial %d: registration failed with %v, want ErrDuplicateRun", trial, err)
+			}
+		}
+		if won != 1 {
+			t.Fatalf("trial %d: %d of %d writers registered %q, want exactly 1", trial, won, writers, runID)
+		}
+	}
+	runs, err := s.ListRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, r := range runs {
+		seen[r.RunID]++
+	}
+	for id, n := range seen {
+		if n != 1 {
+			t.Errorf("ListRuns lists %q %d times", id, n)
+		}
+	}
+	if len(seen) != trials {
+		t.Errorf("ListRuns lists %d runs, want %d", len(seen), trials)
 	}
 }
 

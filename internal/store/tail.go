@@ -16,7 +16,7 @@ import (
 
 // This file implements streaming ingest: TailIngest consumes a live feed of
 // trace.Events (run_start / xform / xfer / run_end) and applies it through
-// the same buffered run writers the bulk path uses, while readers keep
+// the same run writers the bulk path uses, while readers keep
 // querying — a View pinned before a burst is byte-stable through it, and
 // the colstore fencing in colseg.go keeps segments fresh-or-absent as the
 // epoch advances under the feed.
@@ -43,7 +43,7 @@ type TailOptions struct {
 	// must reference processors the spec declares; violations dead-letter.
 	// A nil map skips spec validation.
 	Specs map[string]*workflow.Workflow
-	// BatchRows is the buffered writer flush threshold per run
+	// BatchRows is the run writer's flush threshold per run
 	// (DefaultBatchRows when 0).
 	BatchRows int
 }
@@ -76,7 +76,7 @@ var (
 )
 
 // TailIngest consumes events until the channel closes or ctx is canceled,
-// applying valid events through per-run buffered writers and dead-lettering
+// applying valid events through per-run writers and dead-lettering
 // invalid ones. Runs still open when the feed ends are flushed and closed
 // (their events up to that point are durable and queryable).
 //
@@ -158,7 +158,7 @@ func (t *tailSession) apply(ctx context.Context, ev trace.Event) (reason string,
 				return fmt.Sprintf("unknown workflow %q", ev.Workflow), nil
 			}
 		}
-		w, err := t.s.NewBufferedRunWriter(ctx, ev.RunID, ev.Workflow, t.opt.BatchRows)
+		w, err := t.s.NewRunWriter(ctx, ev.RunID, ev.Workflow, t.opt.BatchRows)
 		if errors.Is(err, ErrDuplicateRun) {
 			return "run already stored", nil
 		}

@@ -79,17 +79,17 @@ func TestTailIngestDeadLetters(t *testing.T) {
 	good := tr.Events()
 	xf := good[1] // first xform of the valid feed
 	bad := []trace.Event{
-		{Kind: trace.EventXform, Seq: 0},                                       // missing run_id
-		{Kind: trace.EventRunStart, RunID: "rX", Workflow: "nosuch", Seq: 0},   // unknown workflow
-		{Kind: trace.EventXform, RunID: "orphan", Seq: 0, Xform: xf.Xform},     // no run_start
-		{Kind: trace.EventRunStart, RunID: "run1", Workflow: "fig3", Seq: 0},   // opens run1
-		{Kind: trace.EventRunStart, RunID: "run1", Workflow: "fig3", Seq: 1},   // duplicate run_start
-		{Kind: trace.EventXform, RunID: "run1", Seq: 2, Xform: xf.Xform},       // ok
-		{Kind: trace.EventXform, RunID: "run1", Seq: 2, Xform: xf.Xform},       // out of order
-		{Kind: trace.EventXform, RunID: "run1", Seq: 3},                        // no payload
-		{Kind: trace.EventKind("bogus"), RunID: "run1", Seq: 4},                // unknown kind
+		{Kind: trace.EventXform, Seq: 0},                                                         // missing run_id
+		{Kind: trace.EventRunStart, RunID: "rX", Workflow: "nosuch", Seq: 0},                     // unknown workflow
+		{Kind: trace.EventXform, RunID: "orphan", Seq: 0, Xform: xf.Xform},                       // no run_start
+		{Kind: trace.EventRunStart, RunID: "run1", Workflow: "fig3", Seq: 0},                     // opens run1
+		{Kind: trace.EventRunStart, RunID: "run1", Workflow: "fig3", Seq: 1},                     // duplicate run_start
+		{Kind: trace.EventXform, RunID: "run1", Seq: 2, Xform: xf.Xform},                         // ok
+		{Kind: trace.EventXform, RunID: "run1", Seq: 2, Xform: xf.Xform},                         // out of order
+		{Kind: trace.EventXform, RunID: "run1", Seq: 3},                                          // no payload
+		{Kind: trace.EventKind("bogus"), RunID: "run1", Seq: 4},                                  // unknown kind
 		{Kind: trace.EventXform, RunID: "run1", Seq: 5, Xform: &trace.XformEvent{Proc: "GHOST"}}, // unknown processor
-		{Kind: trace.EventRunEnd, RunID: "run1", Seq: 6},                       // ok
+		{Kind: trace.EventRunEnd, RunID: "run1", Seq: 6},                                         // ok
 	}
 	stats := feed(t, s, specs, bad)
 	if stats.Applied != 3 {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/value"
 )
 
-// DefaultBatchRows is the buffered writer's flush threshold when none is
+// DefaultBatchRows is the run writer's flush threshold when none is
 // given: the number of rows accumulated (across all four event tables)
 // before one multi-row flush.
 const DefaultBatchRows = 512
@@ -20,11 +20,9 @@ const DefaultBatchRows = 512
 // are deduplicated within the run (bindings reference value IDs), mirroring
 // the paper's relational trace layout.
 //
-// A writer is either unbuffered — each row is written through the store's
-// shared prepared INSERT statements as it arrives — or buffered (see
-// NewBufferedRunWriter): rows accumulate in memory and are flushed as
-// multi-row batches straight into the embedded engine, one lock acquisition
-// and one group-committed WAL record per table per flush.
+// Rows accumulate in memory and are flushed as typed multi-row batches
+// straight into the embedded engine: one lock acquisition and one
+// group-committed WAL record per table per flush.
 type RunWriter struct {
 	s        *Store
 	ctx      context.Context
@@ -41,11 +39,11 @@ type RunWriter struct {
 	intIDs  map[int64]int64
 	listIDs map[value.Handle]int64
 
-	// Buffered mode: batchRows > 0. Rows pending flush, in schema column
-	// order, per table. Their datums live in arena, one allocation per
-	// batch; each flush hands the arena-backed rows to the engine with
-	// ownership (reldb.InsertBatchOwned), so the arena is abandoned — never
-	// reused — after a flush.
+	// Rows pending flush, in schema column order, per table. Their datums
+	// live in arena, one allocation per batch; each flush hands the
+	// arena-backed rows to the engine with ownership
+	// (reldb.InsertBatchOwned), so the arena is abandoned — never reused —
+	// after a flush.
 	batchRows int
 	arena     []reldb.Datum
 	bufVals   []reldb.Row
@@ -75,16 +73,11 @@ func (w *RunWriter) takeRow(base int) reldb.Row {
 	return reldb.Row(w.arena[base:len(w.arena):len(w.arena)])
 }
 
-// NewRunWriter registers a run and returns an unbuffered collector that
-// persists its events row by row. The run ID must be unique within the
-// store.
-func (s *Store) NewRunWriter(runID, workflowName string) (*RunWriter, error) {
-	return s.newRunWriter(context.Background(), runID, workflowName, 0)
-}
-
-// NewBufferedRunWriter registers a run and returns a collector that buffers
-// its events and flushes them as multi-row batches of about batchRows rows
-// (<= 0 selects DefaultBatchRows; 1 effectively disables buffering). The
+// NewRunWriter registers a run and returns a collector that buffers its
+// events and flushes them as multi-row batches of about batchRows rows
+// (<= 0 selects DefaultBatchRows; 1 flushes after every event). The run ID
+// must be unique within the store: of several concurrent registrations of
+// one ID exactly one succeeds, the others fail with ErrDuplicateRun. The
 // caller must Close the writer to flush the final partial batch. On a
 // durable store each flush is one group-committed WAL record per table, so
 // a crash loses at most the unflushed tail, never part of a flushed batch.
@@ -94,36 +87,19 @@ func (s *Store) NewRunWriter(runID, workflowName string) (*RunWriter, error) {
 // errors during a flush are retried with bounded backoff (the engine rolls
 // back and repairs its log on a failed commit, so a retry can never apply a
 // batch twice).
-func (s *Store) NewBufferedRunWriter(ctx context.Context, runID, workflowName string, batchRows int) (*RunWriter, error) {
-	if batchRows <= 0 {
-		batchRows = DefaultBatchRows
-	}
-	return s.newRunWriter(ctx, runID, workflowName, batchRows)
-}
-
-func (s *Store) newRunWriter(ctx context.Context, runID, workflowName string, batchRows int) (*RunWriter, error) {
+func (s *Store) NewRunWriter(ctx context.Context, runID, workflowName string, batchRows int) (*RunWriter, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var n int
-	if err := s.db.QueryRow(`SELECT COUNT(*) FROM runs WHERE run_id = ?`, runID).Scan(&n); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	if batchRows <= 0 {
+		batchRows = DefaultBatchRows
 	}
-	if n > 0 {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateRun, runID)
+	if err := s.registerRun(runID, workflowName); err != nil {
+		return nil, err
 	}
-	// Fence the columnar projection before the run becomes visible: any
-	// reader that can see this run's rows must also see it marked open, so
-	// no stale column segment can shadow rows still being written.
-	s.beginRunWrite(runID)
-	if _, err := s.db.Exec(`INSERT INTO runs (run_id, workflow) VALUES (?, ?)`, runID, workflowName); err != nil {
-		s.endRunWrite(runID)
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	s.invalidateRunCaches()
 	return &RunWriter{
 		s:         s,
 		ctx:       ctx,
@@ -136,11 +112,33 @@ func (s *Store) newRunWriter(ctx context.Context, runID, workflowName string, ba
 	}, nil
 }
 
+// registerRun adds the run's row to the runs table, or fails with
+// ErrDuplicateRun if the ID is taken. The check and the insert are one step
+// under regMu, so two writers can never both register one run ID.
+func (s *Store) registerRun(runID, workflowName string) error {
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	n, err := s.rdb.Count("runs", []reldb.Pred{reldb.Eq("run_id", reldb.S(runID))})
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if n > 0 {
+		return fmt.Errorf("%w: %q", ErrDuplicateRun, runID)
+	}
+	// Fence the columnar projection before the run becomes visible: any
+	// reader that can see this run's rows must also see it marked open, so
+	// no stale column segment can shadow rows still being written.
+	s.beginRunWrite(runID)
+	if _, err := s.rdb.Insert("runs", reldb.Row{reldb.S(runID), reldb.S(workflowName)}); err != nil {
+		s.endRunWrite(runID)
+		return fmt.Errorf("store: %w", err)
+	}
+	s.invalidateRunCaches()
+	return nil
+}
+
 // RunID returns the run this writer persists.
 func (w *RunWriter) RunID() string { return w.runID }
-
-// buffered reports whether the writer accumulates batches.
-func (w *RunWriter) buffered() bool { return w.batchRows > 0 }
 
 // pending returns the number of buffered rows awaiting a flush.
 func (w *RunWriter) pending() int {
@@ -148,14 +146,14 @@ func (w *RunWriter) pending() int {
 }
 
 // Flush writes every buffered row as multi-row batches (values first, so a
-// crash cannot persist an event row whose value is still in memory). It is
-// a no-op for unbuffered writers. Transient storage errors are retried with
-// bounded backoff; cancellation of the writer's context aborts the flush.
+// crash cannot persist an event row whose value is still in memory).
+// Transient storage errors are retried with bounded backoff; cancellation
+// of the writer's context aborts the flush.
 func (w *RunWriter) Flush() error {
-	if !w.buffered() || w.pending() == 0 {
+	if w.pending() == 0 {
 		return nil
 	}
-	if err := w.ctxErr(); err != nil {
+	if err := w.ctx.Err(); err != nil {
 		return err
 	}
 	sp := obs.Start(obsFlushNs)
@@ -190,14 +188,6 @@ func (w *RunWriter) Flush() error {
 	return nil
 }
 
-// ctxErr reports the writer's context error, if any.
-func (w *RunWriter) ctxErr() error {
-	if w.ctx == nil {
-		return nil
-	}
-	return w.ctx.Err()
-}
-
 func (w *RunWriter) maybeFlush() error {
 	if w.pending() >= w.batchRows {
 		return w.Flush()
@@ -207,8 +197,7 @@ func (w *RunWriter) maybeFlush() error {
 
 // Close flushes any buffered rows and lifts the run's columnar-projection
 // write fence: from here on, a checkpoint may build a column segment for the
-// run. The store's prepared statements are shared across writers and stay
-// open.
+// run.
 func (w *RunWriter) Close() error {
 	if err := w.Flush(); err != nil {
 		// The fence stays down: a run whose final flush failed keeps using
@@ -225,116 +214,89 @@ func (w *RunWriter) Close() error {
 
 // valID interns a port value within the run and returns its ID. Repeat
 // values hit one of the non-encoding caches; only first occurrences pay for
-// the canonical encoding and the row write.
-func (w *RunWriter) valID(v value.Value) (int64, error) {
+// the canonical encoding and the buffered vals row.
+func (w *RunWriter) valID(v value.Value) int64 {
 	if s, ok := v.StringVal(); ok {
-		if id, ok := w.strIDs[s]; ok {
-			return id, nil
-		}
-		id, err := w.internPayload(value.Encode(v))
-		if err == nil {
+		id, ok := w.strIDs[s]
+		if !ok {
+			id = w.internPayload(value.Encode(v))
 			w.strIDs[s] = id
 		}
-		return id, err
+		return id
 	}
 	if i, ok := v.IntVal(); ok {
-		if id, ok := w.intIDs[i]; ok {
-			return id, nil
-		}
-		id, err := w.internPayload(value.Encode(v))
-		if err == nil {
+		id, ok := w.intIDs[i]
+		if !ok {
+			id = w.internPayload(value.Encode(v))
 			w.intIDs[i] = id
 		}
-		return id, err
+		return id
 	}
 	if h := v.Handle(); h.Valid() {
-		if id, ok := w.listIDs[h]; ok {
-			return id, nil
-		}
-		id, err := w.internPayload(value.Encode(v))
-		if err == nil {
+		id, ok := w.listIDs[h]
+		if !ok {
+			id = w.internPayload(value.Encode(v))
 			w.listIDs[h] = id
 		}
-		return id, err
+		return id
 	}
 	return w.internPayload(value.Encode(v))
 }
 
-// internPayload interns a canonically encoded value by payload, writing the
-// vals row on first sight.
-func (w *RunWriter) internPayload(payload string) (int64, error) {
+// internPayload interns a canonically encoded value by payload, buffering
+// the vals row on first sight.
+func (w *RunWriter) internPayload(payload string) int64 {
 	if id, ok := w.valIDs[payload]; ok {
-		return id, nil
+		return id
 	}
 	id := int64(len(w.valIDs))
-	if w.buffered() {
-		base := w.arenaBase()
-		w.arena = append(w.arena, reldb.S(w.runID), reldb.I(id), reldb.S(payload))
-		w.bufVals = append(w.bufVals, w.takeRow(base))
-	} else if _, err := w.s.insVal.Exec(w.runID, id, payload); err != nil {
-		return 0, err
-	}
+	base := w.arenaBase()
+	w.arena = append(w.arena, reldb.S(w.runID), reldb.I(id), reldb.S(payload))
+	w.bufVals = append(w.bufVals, w.takeRow(base))
 	w.valIDs[payload] = id
-	return id, nil
+	return id
 }
 
 // Xform implements trace.Collector.
 func (w *RunWriter) Xform(e trace.XformEvent) error {
-	if err := w.ctxErr(); err != nil {
+	if err := w.ctx.Err(); err != nil {
 		return err
 	}
 	eventID := w.eventSeq
 	w.eventSeq++
 	for pos, b := range e.Inputs {
-		vid, err := w.valID(b.Value)
-		if err != nil {
-			return err
-		}
+		vid := w.valID(b.Value)
 		key, err := IdxKey(b.Index)
 		if err != nil {
 			return err
 		}
-		if w.buffered() {
-			base := w.arenaBase()
-			w.arena = append(w.arena,
-				reldb.S(w.runID), reldb.I(eventID), reldb.I(int64(pos)),
-				reldb.S(b.Proc), reldb.S(b.Port), reldb.S(key), reldb.I(int64(b.Ctx)), reldb.I(vid))
-			w.bufIn = append(w.bufIn, w.takeRow(base))
-		} else if _, err := w.s.insIn.Exec(w.runID, eventID, int64(pos), b.Proc, b.Port, key, int64(b.Ctx), vid); err != nil {
-			return err
-		}
+		base := w.arenaBase()
+		w.arena = append(w.arena,
+			reldb.S(w.runID), reldb.I(eventID), reldb.I(int64(pos)),
+			reldb.S(b.Proc), reldb.S(b.Port), reldb.S(key), reldb.I(int64(b.Ctx)), reldb.I(vid))
+		w.bufIn = append(w.bufIn, w.takeRow(base))
 	}
 	for _, b := range e.Outputs {
-		vid, err := w.valID(b.Value)
-		if err != nil {
-			return err
-		}
+		vid := w.valID(b.Value)
 		key, err := IdxKey(b.Index)
 		if err != nil {
 			return err
 		}
-		if w.buffered() {
-			base := w.arenaBase()
-			w.arena = append(w.arena,
-				reldb.S(w.runID), reldb.I(eventID),
-				reldb.S(b.Proc), reldb.S(b.Port), reldb.S(key), reldb.I(int64(b.Ctx)), reldb.I(vid))
-			w.bufOut = append(w.bufOut, w.takeRow(base))
-		} else if _, err := w.s.insOut.Exec(w.runID, eventID, b.Proc, b.Port, key, int64(b.Ctx), vid); err != nil {
-			return err
-		}
+		base := w.arenaBase()
+		w.arena = append(w.arena,
+			reldb.S(w.runID), reldb.I(eventID),
+			reldb.S(b.Proc), reldb.S(b.Port), reldb.S(key), reldb.I(int64(b.Ctx)), reldb.I(vid))
+		w.bufOut = append(w.bufOut, w.takeRow(base))
 	}
 	return w.maybeFlush()
 }
 
 // Xfer implements trace.Collector.
 func (w *RunWriter) Xfer(e trace.XferEvent) error {
-	if err := w.ctxErr(); err != nil {
+	if err := w.ctx.Err(); err != nil {
 		return err
 	}
-	vid, err := w.valID(e.To.Value)
-	if err != nil {
-		return err
-	}
+	vid := w.valID(e.To.Value)
 	fromKey, err := IdxKey(e.From.Index)
 	if err != nil {
 		return err
@@ -343,52 +305,11 @@ func (w *RunWriter) Xfer(e trace.XferEvent) error {
 	if err != nil {
 		return err
 	}
-	if w.buffered() {
-		base := w.arenaBase()
-		w.arena = append(w.arena,
-			reldb.S(w.runID),
-			reldb.S(e.From.Proc), reldb.S(e.From.Port), reldb.S(fromKey), reldb.I(int64(e.From.Ctx)),
-			reldb.S(e.To.Proc), reldb.S(e.To.Port), reldb.S(toKey), reldb.I(int64(e.To.Ctx)), reldb.I(vid))
-		w.bufXfer = append(w.bufXfer, w.takeRow(base))
-		return w.maybeFlush()
-	}
-	_, err = w.s.insXfer.Exec(w.runID,
-		e.From.Proc, e.From.Port, fromKey, int64(e.From.Ctx),
-		e.To.Proc, e.To.Port, toKey, int64(e.To.Ctx), vid)
-	return err
-}
-
-// StoreTrace persists a complete in-memory trace in one call, row by row.
-func (s *Store) StoreTrace(t *trace.Trace) error {
-	return s.storeTrace(t, 0)
-}
-
-// StoreTraceBatched persists a complete in-memory trace through a buffered
-// writer flushing batches of about batchRows rows (<= 0 selects
-// DefaultBatchRows).
-func (s *Store) StoreTraceBatched(t *trace.Trace, batchRows int) error {
-	if batchRows <= 0 {
-		batchRows = DefaultBatchRows
-	}
-	return s.storeTrace(t, batchRows)
-}
-
-func (s *Store) storeTrace(t *trace.Trace, batchRows int) error {
-	w, err := s.newRunWriter(context.Background(), t.RunID, t.Workflow, batchRows)
-	if err != nil {
-		return err
-	}
-	for _, e := range t.Xforms {
-		if err := w.Xform(e); err != nil {
-			w.Close()
-			return err
-		}
-	}
-	for _, e := range t.Xfers {
-		if err := w.Xfer(e); err != nil {
-			w.Close()
-			return err
-		}
-	}
-	return w.Close()
+	base := w.arenaBase()
+	w.arena = append(w.arena,
+		reldb.S(w.runID),
+		reldb.S(e.From.Proc), reldb.S(e.From.Port), reldb.S(fromKey), reldb.I(int64(e.From.Ctx)),
+		reldb.S(e.To.Proc), reldb.S(e.To.Port), reldb.S(toKey), reldb.I(int64(e.To.Ctx)), reldb.I(vid))
+	w.bufXfer = append(w.bufXfer, w.takeRow(base))
+	return w.maybeFlush()
 }

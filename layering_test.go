@@ -40,8 +40,7 @@ var layering = map[string][]string{
 // layeringExceptions are the edges the layering does not want but still
 // has, each with what removes it.
 var layeringExceptions = map[[2]string]string{
-	{"shard", "sqlike"}: "the memory DSN should come from store",
-	{"server", "gen"}:   "the service registry should come in through server.Config",
+	{"server", "gen"}: "the service registry should come in through server.Config",
 }
 
 // TestLayering parses the imports of every non-test file under internal/
