@@ -21,11 +21,9 @@ import (
 // run". The store holds many runs of the GK reconstruction; a fixed fraction
 // is designated failed (the engine records no failure outcome, so the sweep
 // marks every 4th run — the shape that matters is a query set much smaller
-// than the stored set). The batched row probe answers by one index-range scan
-// over the whole xin_ppi range of a (proc, port, idx) probe — every stored
-// run's rows — filtered down to the queried runs; the columnar stage touches
-// only the queried runs' segments, so its advantage grows with the
-// stored:queried ratio. Both topologies of PR 5 are measured: a single store
+// than the stored set). The batched row probe answers with one B-tree seek
+// per queried run on its xin_port range; the columnar stage scans only the
+// queried runs' segments. Both topologies of PR 5 are measured: a single store
 // and a 4-shard store whose executor chunks are partition-pruned before the
 // segments are scanned.
 //
@@ -107,8 +105,8 @@ func Fig4Col(o Options) (*Report, error) {
 		Title: "Columnar probe stage vs. row-at-a-time batched probes on a cross-run aggregate query",
 		Caption: fmt.Sprintf("GK reconstruction, %d stored runs, every %dth designated failed\n"+
 			"(%d queried runs): \"the inputs that fed any failed run\". rows =\n"+
-			"ExecuteMultiRun with -colscan=off (PR 6 batched row probes: one\n"+
-			"xin_ppi range scan per probe per chunk, all stored runs, filtered);\n"+
+			"ExecuteMultiRun with -colscan=off (batched row probes: one\n"+
+			"xin_port seek per probe per queried run);\n"+
 			"colscan = -colscan=on (zone-map filter, then the fixed-width IdxKey\n"+
 			"column of the queried runs' segments only). P=4, results checked\n"+
 			"equal per cell; seg_* columns are per-query colscan.* obs deltas.",

@@ -111,7 +111,7 @@ func Fig4(o Options) (*Report, error) {
 // store probes, against the sequential per-run baseline. The paper's Fig. 4
 // grows linearly with the number of runs because runs are probed one after
 // another; runs are independent by construction, so the executor batches
-// the probes (one index-range scan per (P, X, p) per batch of runs) and
+// the probes (one store call per (P, X, p) per batch of runs) and
 // fans the batches out over a worker pool.
 func Fig4Parallel(o Options) (*Report, error) {
 	runs := 20
@@ -146,8 +146,8 @@ func Fig4Parallel(o Options) (*Report, error) {
 		Title: "Parallel multi-run query execution vs. the sequential per-run baseline",
 		Caption: fmt.Sprintf("Fig. 4 workload, %d runs. t2 = probe phase only (shared plan, compiled\n"+
 			"once). sequential = one probe round-trip per run per plan probe; parallel\n"+
-			"P=n = n workers over run batches, one batched index-range scan per probe\n"+
-			"per batch. queries = store round-trips per execution.", runs),
+			"P=n = n workers over run batches, one batched store call per probe per\n"+
+			"batch. queries = index scans per execution.", runs),
 		Columns: []string{"query", "runs", "mode", "t2_ms", "queries", "speedup"},
 	}
 	for _, cfg := range cfgs {

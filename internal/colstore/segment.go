@@ -1,6 +1,7 @@
 // Package colstore implements an immutable, per-run-partition columnar
 // projection of the provenance bindings table: the vectorized counterpart of
-// the row store's xin_ppi (proc, port, idx) B-tree index.
+// one run's range of the row store's xin_port (run_id, proc, port, idx)
+// B-tree index.
 //
 // One Segment holds every input binding of one run — the run is the
 // partition — decomposed into columns: processor and port names are
@@ -65,8 +66,8 @@ type Segment struct {
 // Build constructs a segment from one run's bindings. The rows must be in
 // the row store's per-run insertion order: Build sorts them stably by
 // (proc, port, key), which then reproduces exactly the (proc, port, idx,
-// rowid) order of the row store's xin_ppi index scan — the property that
-// makes columnar probe answers byte-identical to row-scan answers.
+// rowid) order of the run's xin_port index scan — the property that makes
+// columnar probe answers byte-identical to row-scan answers.
 func Build(runID string, rows []Row) *Segment {
 	sorted := make([]Row, len(rows))
 	copy(sorted, rows)

@@ -43,6 +43,10 @@ type IndexProj struct {
 	q  store.LineageQuerier
 	wf *workflow.Workflow
 	d  *workflow.Depths
+	// arcs maps every sink port of wf and of its nested dataflows to the
+	// arc feeding it, built once at registration: the compiler follows one
+	// incoming arc per traversal step.
+	arcs map[frameArc]workflow.Arc
 
 	cache PlanCache // the template table, newPlanTable unless a test substitutes it
 }
@@ -85,7 +89,32 @@ func NewIndexProj(q store.LineageQuerier, wf *workflow.Workflow) (*IndexProj, er
 	if err != nil {
 		return nil, fmt.Errorf("lineage: %w", err)
 	}
-	return &IndexProj{q: q, wf: wf, d: d, cache: newPlanTable()}, nil
+	arcs := make(map[frameArc]workflow.Arc)
+	indexArcs(arcs, wf)
+	return &IndexProj{q: q, wf: wf, d: d, arcs: arcs, cache: newPlanTable()}, nil
+}
+
+// frameArc keys an incoming arc by the (sub-)workflow it belongs to and its
+// sink port.
+type frameArc struct {
+	wf *workflow.Workflow
+	to workflow.PortID
+}
+
+// indexArcs adds wf's arcs, and those of every nested dataflow in it, to
+// arcs. The first arc into a port wins, as in Workflow.IncomingArc
+// (validation makes it the only one).
+func indexArcs(arcs map[frameArc]workflow.Arc, wf *workflow.Workflow) {
+	for _, a := range wf.Arcs {
+		if _, dup := arcs[frameArc{wf, a.To}]; !dup {
+			arcs[frameArc{wf, a.To}] = a
+		}
+	}
+	for _, p := range wf.Processors {
+		if p.IsComposite() {
+			indexArcs(arcs, p.Sub)
+		}
+	}
 }
 
 // UsePlanCache replaces this evaluator's template table, a test hook: a
@@ -469,7 +498,7 @@ func (c *compiler) visitInput(sc *scope, p *workflow.Processor, port string, idx
 	if c.seen("in", sc.qualifyName(p.Name), port, idx) {
 		return nil
 	}
-	arc, ok := sc.wf.IncomingArc(workflow.PortID{Proc: p.Name, Port: port})
+	arc, ok := c.ip.arcs[frameArc{sc.wf, workflow.PortID{Proc: p.Name, Port: port}}]
 	if !ok {
 		return nil // default value: a source
 	}
@@ -514,7 +543,7 @@ func (c *compiler) visitWorkflowOutput(sc *scope, port string, idx value.Index) 
 	if c.seen("wfout", sc.base, port, idx) {
 		return nil
 	}
-	arc, ok := sc.wf.IncomingArc(workflow.PortID{Proc: workflow.WorkflowPseudoProc, Port: port})
+	arc, ok := c.ip.arcs[frameArc{sc.wf, workflow.PortID{Proc: workflow.WorkflowPseudoProc, Port: port}}]
 	if !ok {
 		return nil // unconnected output (rejected by the engine, legal in a spec)
 	}

@@ -19,16 +19,16 @@ import (
 // and so are the plan's probes (each is one indexed trace lookup), so the
 // executor decomposes the work into (probe × run-chunk) tasks: each task
 // answers one probe for a whole chunk of runs with the store's batched
-// multi-run API (one index-range scan instead of one round-trip per run)
-// and materializes the staged values with one batched fetch. A worker pool
+// multi-run API (one call, one seek per run) and materializes the staged
+// values with one batched fetch. A worker pool
 // drains the tasks into private partial Results, merged once at the end —
 // no lock is contended during execution, and the total store work is
 // independent of the parallelism level.
 
-// DefaultBatchSize caps the number of runs a single batched store probe
-// answers (bounding the bindings one task stages in memory) when
-// MultiRunOptions.BatchSize is unset. Larger batches mean fewer scans, so
-// the default chunk is as large as the cap allows.
+// DefaultBatchSize caps the number of runs one task answers (bounding the
+// bindings it stages in memory) when MultiRunOptions.BatchSize is unset.
+// Larger chunks mean fewer tasks and fewer batched value fetches, so the
+// default chunk is as large as the cap allows.
 const DefaultBatchSize = 64
 
 // MultiRunOptions tunes the parallel multi-run executor.
@@ -36,10 +36,10 @@ type MultiRunOptions struct {
 	// Parallelism is the number of worker goroutines probing runs
 	// concurrently. Values <= 1 select the sequential in-line path.
 	Parallelism int
-	// BatchSize is the number of runs answered per batched store probe
-	// (one index-range scan per probe per batch). 0 means DefaultBatchSize;
-	// 1 disables batching and probes run-by-run, exactly like the
-	// sequential single-run executor.
+	// BatchSize is the number of runs per task: one batched store probe
+	// and one batched value fetch answer a probe for that many runs. 0
+	// means DefaultBatchSize; 1 disables batching and probes run-by-run,
+	// exactly like the sequential single-run executor.
 	BatchSize int
 	// ColScan selects the vectorized columnar probe stage (see colscan.go).
 	// The zero value is ColScanAuto: use column segments when the store has
@@ -264,7 +264,7 @@ func (ip *IndexProj) executeMultiRun(ctx context.Context, plan *CompiledPlan, q 
 // scanner selected (cs non-nil), the bindings come from the vectorized stage
 // (see colScanBindings); otherwise run-by-run for singleton chunks (exactly
 // the sequential single-run executor's store accesses), batched otherwise —
-// one index-range scan stages the bindings of every run. Stores with
+// one store call stages the bindings of every run. Stores with
 // ctx-bounded reads (a replicated sharded store) get the caller's deadline,
 // so a stalled replica cannot hold the chunk past it.
 func (ip *IndexProj) executeProbeChunk(ctx context.Context, result *Result, pr Probe, runIDs []string, cs store.ColumnScanner) error {
@@ -366,10 +366,9 @@ func validateRuns(hasRun func(string) (bool, error), runIDs []string, partial bo
 // partitionChunks forms the executor's run chunks. When the querier
 // physically partitions its runs (store.RunPartitioner — e.g. a sharded
 // store), chunks are formed within one partition at a time, so every
-// batched probe lands on a single partition and scans only that
-// partition's (smaller) index instead of the whole store's; the answer is
-// identical either way, because runs are independent (§3.4) and chunking
-// only groups round-trips.
+// batched probe lands on a single partition instead of scattering to
+// several; the answer is identical either way, because runs are
+// independent (§3.4) and chunking only groups round-trips.
 func partitionChunks(q store.LineageQuerier, runIDs []string, size int) [][]string {
 	rp, ok := q.(store.RunPartitioner)
 	if !ok {

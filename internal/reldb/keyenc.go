@@ -69,14 +69,14 @@ func encodeDatum(dst []byte, d Datum) []byte {
 // body of a string or bytes column, and on its own the partial encoding a
 // prefix scan starts from.
 func appendEscaped[T string | []byte](dst []byte, src T) []byte {
+	start := 0 // src[start:] is not yet appended; runs without 0x00 go in one copy
 	for i := 0; i < len(src); i++ {
-		if c := src[i]; c == 0x00 {
-			dst = append(dst, 0x00, 0xFF)
-		} else {
-			dst = append(dst, c)
+		if src[i] == 0x00 {
+			dst = append(append(dst, src[start:i]...), 0x00, 0xFF)
+			start = i + 1
 		}
 	}
-	return dst
+	return append(dst, src[start:]...)
 }
 
 // DecodeKey decodes n datums from the front of key, returning them and the

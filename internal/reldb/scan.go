@@ -277,30 +277,47 @@ func (p *scanPlan) bounds(vals []Datum, from, to []byte) ([]byte, []byte) {
 // spill to the heap.
 const boundBuf = 128
 
+// scanTally is the work of one or more scans. Readers keep it themselves and
+// add it to the shared statistics in one step (count): every reader of a
+// database updates the same counters, so one that issues many short scans
+// adds once, not once per scan.
+type scanTally struct{ index, full, rows int64 }
+
+// count adds a tally to the statistics.
+func (db *DB) count(t *scanTally) {
+	if t.index > 0 {
+		db.statIndexScans.Add(t.index)
+		obsIndexScans.Add(t.index)
+	}
+	if t.full > 0 {
+		db.statFullScans.Add(t.full)
+		obsFullScans.Add(t.full)
+	}
+	db.statRowsRead.Add(t.rows)
+	obsRowsRead.Add(t.rows)
+}
+
 // run walks the plan over a table the caller may safely read — a frozen
 // table out of a published version (no lock needed) or the live table under
 // the write lock (Delete's collection phase) — handing every matching row to
 // fn by reference: fn must neither modify nor retain the row slice. fn
-// returns false to stop early.
-func (db *DB) run(t *Table, p *scanPlan, vals []Datum, fn func(rid int64, row Row) bool) error {
+// returns false to stop early. The scan's work goes into tally.
+func (db *DB) run(t *Table, p *scanPlan, vals []Datum, fn func(rid int64, row Row) bool, tally *scanTally) error {
 	if err := p.checkVals(t, vals); err != nil {
 		return err
 	}
-	// The per-row tally is kept local and flushed once after the scan: one
-	// atomic add per scan instead of one per row keeps the counter off the
-	// B-tree hot path.
+	// The row count stays in a local until the scan ends, off the B-tree
+	// hot path.
 	var rowsRead int64
 	visit := func(rid int64, row Row) bool {
 		rowsRead++
 		return !p.matches(row, vals) || fn(rid, row)
 	}
 	if p.ix < 0 {
-		db.statFullScans.Add(1)
-		obsFullScans.Add(1)
+		tally.full++
 		t.scanAll(visit)
 	} else {
-		db.statIndexScans.Add(1)
-		obsIndexScans.Add(1)
+		tally.index++
 		var buf [2 * boundBuf]byte
 		from, to := p.bounds(vals, buf[:0:boundBuf], buf[boundBuf:boundBuf])
 		t.indexes[p.ix].tree.AscendRange(from, to, func(_ []byte, rid int64) bool {
@@ -308,8 +325,7 @@ func (db *DB) run(t *Table, p *scanPlan, vals []Datum, fn func(rid int64, row Ro
 			return !ok || visit(rid, row) // tombstoned between index and heap: skip
 		})
 	}
-	db.statRowsRead.Add(rowsRead)
-	obsRowsRead.Add(rowsRead)
+	tally.rows += rowsRead
 	return nil
 }
 
@@ -325,11 +341,14 @@ func (db *DB) scanTable(t *Table, preds []Pred, fn func(rid int64, row Row) bool
 	if err := p.init(t, shape); err != nil {
 		return err
 	}
-	return db.run(t, &p, vals, fn)
+	var tally scanTally
+	err := db.run(t, &p, vals, fn, &tally)
+	db.count(&tally)
+	return err
 }
 
-// scanIn runs a prepared scan against one published version.
-func (db *DB) scanIn(v *dbVersion, sc *Scan, vals []Datum, fn func(rid int64, row Row) bool) error {
+// scanIn runs a prepared scan against one published version, into tally.
+func (db *DB) scanIn(v *dbVersion, sc *Scan, vals []Datum, fn func(rid int64, row Row) bool, tally *scanTally) error {
 	t, ok := v.tables[sc.table]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoTable, sc.table)
@@ -338,7 +357,7 @@ func (db *DB) scanIn(v *dbVersion, sc *Scan, vals []Datum, fn func(rid int64, ro
 	if err != nil {
 		return err
 	}
-	return db.run(t, p, vals, fn)
+	return db.run(t, p, vals, fn, tally)
 }
 
 // selectIn and countIn are Select and Count against one published version.
@@ -373,5 +392,40 @@ func (db *DB) countIn(v *dbVersion, tableName string, preds []Pred) (int, error)
 // for heap scans): fn must neither modify nor retain the row slice, and
 // returns false to stop early.
 func (db *DB) Scan(sc *Scan, vals []Datum, fn func(rid int64, row Row) bool) error {
-	return db.scanIn(db.version.Load(), sc, vals, fn)
+	c := Cursor{db: db, v: db.version.Load()}
+	err := c.Scan(sc, vals, fn)
+	c.Close()
+	return err
+}
+
+// A Cursor runs a series of prepared scans, from one goroutine, against one
+// published version: the latest when it was opened, or a snapshot's. It
+// keeps their work to itself until Close adds it to the statistics, so
+// concurrent readers that each issue many short scans touch the shared
+// counters once per series, not once per scan.
+type Cursor struct {
+	db    *DB
+	v     *dbVersion
+	snap  *Snapshot // the snapshot it was opened on, if any
+	tally scanTally
+}
+
+// Cursor opens a cursor on the last published version.
+func (db *DB) Cursor() *Cursor { return &Cursor{db: db, v: db.version.Load()} }
+
+// Scan is DB.Scan against the cursor's version.
+func (c *Cursor) Scan(sc *Scan, vals []Datum, fn func(rid int64, row Row) bool) error {
+	if c.snap != nil && c.snap.released.Load() {
+		return ErrSnapshotReleased
+	}
+	return c.db.scanIn(c.v, sc, vals, fn, &c.tally)
+}
+
+// Close adds the cursor's work to the statistics and returns the number of
+// scans it ran since it was opened or last closed.
+func (c *Cursor) Close() (scans int64) {
+	c.db.count(&c.tally)
+	scans = c.tally.index + c.tally.full
+	c.tally = scanTally{}
+	return scans
 }

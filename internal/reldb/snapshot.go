@@ -66,5 +66,12 @@ func (s *Snapshot) Scan(sc *Scan, vals []Datum, fn func(rid int64, row Row) bool
 	if s.released.Load() {
 		return ErrSnapshotReleased
 	}
-	return s.db.scanIn(s.v, sc, vals, fn)
+	c := Cursor{db: s.db, v: s.v}
+	err := c.Scan(sc, vals, fn)
+	c.Close()
+	return err
 }
+
+// Cursor opens a cursor on the pinned epoch; its scans fail with
+// ErrSnapshotReleased once the snapshot is released.
+func (s *Snapshot) Cursor() *Cursor { return &Cursor{db: s.db, v: s.v, snap: s} }

@@ -146,7 +146,7 @@ func (s *ShardedStore) ingestReplicated(ctx context.Context, rs *replicaSet, tas
 		return errors.Join(errs...)
 	}
 
-	return store.IngestPool(ctx, opt.Parallelism, tasks, func(ctx context.Context, t store.IngestTask) error {
+	return store.IngestPool(ctx, opt.Parallelism, tasks, func(ctx context.Context, t store.IngestTask) (err error) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -157,8 +157,8 @@ func (s *ShardedStore) ingestReplicated(ctx context.Context, rs *replicaSet, tas
 		committed := false
 		defer func() {
 			if !committed { // only the replicas this task registered the run on
-				for j := range ws {
-					rs.reps[j].st.DeleteRun(t.RunID)
+				for _, w := range ws {
+					err = errors.Join(err, w.Abort())
 				}
 			}
 		}()

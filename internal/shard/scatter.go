@@ -251,9 +251,7 @@ func (s *ShardedStore) VerifyCtx(ctx context.Context, runID string, wf *workflow
 // PartitionRuns implements store.RunPartitioner: runs grouped by owning
 // shard, in shard order. The multi-run executor forms its probe chunks
 // within these groups, so every batched probe is answered by exactly one
-// shard scanning only its own index — the scatter below then takes its
-// single-group fast path and no whole-store scan ever covers rows the
-// chunk cannot use.
+// shard — the scatter below then takes its single-group fast path.
 func (s *ShardedStore) PartitionRuns(runIDs []string) [][]string {
 	groups := s.groupRuns(runIDs)
 	touched := make([]int, 0, len(groups))

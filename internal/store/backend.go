@@ -146,9 +146,8 @@ type HealthReporter interface {
 // store per shard). PartitionRuns splits a run set into groups of
 // co-resident runs; the multi-run executor forms its probe chunks within
 // one group at a time, so every batched probe lands on a single partition
-// and scans only that partition's index — partition pruning — instead of
-// paying one whole-store index scan per chunk. The groups must cover
-// exactly the input runs, without duplicates.
+// instead of scattering across several. The groups must cover exactly the
+// input runs, without duplicates.
 type RunPartitioner interface {
 	PartitionRuns(runIDs []string) [][]string
 }

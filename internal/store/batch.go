@@ -2,18 +2,19 @@ package store
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/obs"
 	"repro/internal/reldb"
 	"repro/internal/value"
 )
 
-// This file implements the batched (multi-run) read path: the trace probe
-// Q(P, X, p, T) answered for a whole set of runs in one index-range scan,
-// instead of one round-trip per run. This is what lets the parallel
-// multi-run lineage executor break Fig. 4's linear growth in the number of
-// runs: the per-probe cost becomes one scan over xin_ppi (proc, port, idx)
-// shared by every run, plus one bounded value scan per run.
+// This file implements the batched (multi-run) read paths: the trace probe
+// Q(P, X, p) and value materialization answered for a whole set of runs in
+// one call. The probe answers each wanted run with that run's own prepared
+// seek on xin_port (run_id, proc, port, idx) — exactly the scans
+// InputBindings issues — so its cost grows with the runs asked, never with
+// the runs stored. The call still shares what it can: the index key is
+// encoded once, and one engine cursor carries every seek.
 
 // LineageQuerier is the read-side surface the INDEXPROJ executor needs from
 // a provenance store. Implementations must be safe for concurrent use by
@@ -22,9 +23,9 @@ import (
 type LineageQuerier interface {
 	// InputBindings answers Q(P, X, p) for one run (Alg. 2's trace probe).
 	InputBindings(runID, proc, port string, idx value.Index) ([]Binding, error)
-	// InputBindingsBatch answers the same probe for a set of runs in one
-	// pass, grouped by run ID. Every requested run has an entry (possibly
-	// empty); per-run granularity fallback matches InputBindings exactly.
+	// InputBindingsBatch answers the same probe for a set of runs, grouped
+	// by run ID. Every requested run has an entry (possibly empty), equal to
+	// its InputBindings answer, granularity fallback included.
 	InputBindingsBatch(runIDs []string, proc, port string, idx value.Index) (map[string][]Binding, error)
 	// Value materializes one stored port value.
 	Value(runID string, valID int64) (value.Value, error)
@@ -44,15 +45,15 @@ type ValueRef struct {
 	ValID int64
 }
 
-// InputBindingsBatch is the batched form of InputBindings: one prefix scan
-// over the (proc, port, idx) index retrieves the matching bindings of every
-// run at once, and the granularity fallback (successively shorter exact
-// prefixes, per §2.3/§2.4) runs once per truncation level for the runs the
-// prefix scan left empty — instead of once per run.
+// InputBindingsBatch is the batched form of InputBindings: the runs are
+// visited in ascending run-ID order, each answered by its own prefix seek on
+// xin_port and, while that run's answer is empty, by exact seeks on
+// successively shorter prefixes of idx (§2.3/§2.4). The index key is encoded
+// once; each fallback level's key is a prefix of it.
 //
-// The result maps every requested run ID to its bindings (never nil). Runs
-// not requested are filtered out, so the answer is exactly the union of the
-// per-run InputBindings answers.
+// The result maps every requested run ID to its bindings: exactly the
+// per-run InputBindings answers, in the same order. Rows of runs not asked
+// for are never read.
 func (s *Store) InputBindingsBatch(runIDs []string, proc, port string, idx value.Index) (map[string][]Binding, error) {
 	return s.inputBindingsBatchOn(s.engine(), runIDs, proc, port, idx)
 }
@@ -62,69 +63,32 @@ func (s *Store) inputBindingsBatchOn(r reader, runIDs []string, proc, port strin
 	if len(runIDs) == 0 {
 		return out, nil
 	}
-	if len(runIDs) == 1 {
-		bs, err := s.inputBindingsOn(r, runIDs[0], proc, port, idx)
-		if err != nil {
-			return nil, err
-		}
-		out[runIDs[0]] = bs
-		return out, nil
-	}
-	obsProbeBatches.Add(1)
-	if obs.Enabled() {
-		obsBatchRuns.Observe(int64(len(runIDs)))
-	}
-	want := make(map[string]bool, len(runIDs))
-	for _, r := range runIDs {
-		want[r] = true
-		out[r] = nil
-	}
 	key, err := IdxKey(idx)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.insByRun(r, s.scans.insBatchPrefix, proc, port, key, want, out); err != nil {
-		return nil, err
+	// One cursor carries every run's seeks: they read one epoch, and their
+	// probes reach the shared counters in one step.
+	if r.snap != nil {
+		r.cur = r.snap.Cursor()
+	} else {
+		r.cur = r.db.Cursor()
 	}
-
-	// Granularity fallback, batched: runs with no events at the query
-	// granularity (or finer) match the longest proper prefix of idx that has
-	// recorded events — probed per truncation level for the still-empty runs.
-	empty := make(map[string]bool)
-	for r := range want {
-		if len(out[r]) == 0 {
-			empty[r] = true
-		}
+	defer func() { countQuery(r.cur.Close()) }()
+	obsProbeBatches.Add(1)
+	obsBatchRuns.Observe(int64(len(runIDs)))
+	if !slices.IsSorted(runIDs) {
+		runIDs = slices.Clone(runIDs)
+		slices.Sort(runIDs)
 	}
-	for n := len(idx) - 1; n >= 0 && len(empty) > 0; n-- {
-		level := make(map[string][]Binding)
-		if err := s.insByRun(r, s.scans.insBatchExact, proc, port, MustIdxKey(idx.Truncate(n)), empty, level); err != nil {
+	for _, runID := range runIDs {
+		bs, err := s.inputBindingsKey(r, runID, proc, port, key)
+		if err != nil {
 			return nil, err
 		}
-		for r, bs := range level {
-			if len(bs) > 0 {
-				out[r] = bs
-				delete(empty, r)
-			}
-		}
+		out[runID] = bs
 	}
 	return out, nil
-}
-
-// insByRun issues one batched probe — a scan of xin_ppi by (proc, port, key),
-// across runs — into dst, keeping only rows whose run is in want.
-func (s *Store) insByRun(r reader, sc *reldb.Scan, proc, port, key string, want map[string]bool, dst map[string][]Binding) error {
-	countQuery(1)
-	vals := [3]reldb.Datum{reldb.S(proc), reldb.S(port), reldb.S(key)}
-	return r.scan(sc, vals[:], func(row reldb.Row) error {
-		runID := row[inRun].Str()
-		if !want[runID] {
-			return nil
-		}
-		b, err := rowBinding(runID, proc, port, row[inIdx], row[inCtx], row[inVal])
-		dst[runID] = append(dst[runID], b)
-		return err
-	})
 }
 
 // valsRangeOverscan bounds how sparse a [min, max] val_id window may be
@@ -197,7 +161,6 @@ func (s *Store) valuesBatchOn(r reader, runs func() int64, refs []ValueRef) (map
 		}
 		span := maxID - minID + 1
 		if runs()*span <= int64(valsCrossRunOverscan*len(out)+64) {
-			countQuery(1)
 			got := 0
 			vals := [2]reldb.Datum{reldb.I(minID), reldb.I(maxID)}
 			err := r.scan(s.scans.valsRangeAll, vals[:], func(row reldb.Row) error {
@@ -247,7 +210,6 @@ func (s *Store) valuesBatchOn(r reader, runs func() int64, refs []ValueRef) (map
 			}
 			continue
 		}
-		countQuery(1)
 		got := 0
 		vals := [3]reldb.Datum{reldb.S(runID), reldb.I(minID), reldb.I(maxID)}
 		err := r.scan(s.scans.valsRange, vals[:], func(row reldb.Row) error {

@@ -193,8 +193,8 @@ func (s *Store) installSegment(runID string, gen uint64, seg *colstore.Segment, 
 
 // buildSegment projects one run's xform_in rows into a column segment. The
 // rows are sorted by (event_id, pos) — the row store's insertion order —
-// before the columnar build, so segment scan order reproduces the xin_ppi
-// index scan order exactly.
+// before the columnar build, so segment scan order reproduces the run's
+// xin_port index scan order exactly.
 func (s *Store) buildSegment(runID string) (*colstore.Segment, error) {
 	rows, err := s.db.Query(
 		`SELECT event_id, pos, proc, port, idx, ctx, val_id FROM xform_in WHERE run_id = ?`, runID)
@@ -327,8 +327,8 @@ func colScanBindings(segFor func(string) *colstore.Segment, runIDs []string, pro
 		var ex int
 		scratch, ex = seg.ScanPrefix(proc, port, key, scratch)
 		examined += int64(ex)
-		for n := len(idx) - 1; n >= 0 && len(scratch) == 0; n-- {
-			scratch, ex = seg.ScanExact(proc, port, MustIdxKey(idx.Truncate(n)), scratch)
+		for n := len(key) - (idxComponentWidth + 1); n >= 0 && len(scratch) == 0; n -= idxComponentWidth + 1 {
+			scratch, ex = seg.ScanExact(proc, port, key[:n], scratch)
 			examined += int64(ex)
 		}
 		bs, err := bindingsFromMatches(runID, proc, port, scratch)

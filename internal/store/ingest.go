@@ -61,8 +61,9 @@ type IngestTask struct {
 // Ingest loads every task's run into the store concurrently, each run
 // through its own writer (registration is one atomic step per run; event
 // rows flush as multi-row batches). The first error cancels remaining work
-// and is returned; completed runs stay in the store. Cancelling ctx aborts
-// the load with the context's error; runs whose final flush was
+// and is returned; completed runs stay in the store, and a failed or
+// panicking task's run is rolled back (RunWriter.Abort). Cancelling ctx
+// aborts the load with the context's error; runs whose final flush was
 // acknowledged before the cancellation remain.
 func (s *Store) Ingest(ctx context.Context, tasks []IngestTask, opt IngestOptions) error {
 	if ctx == nil {
@@ -84,7 +85,7 @@ func (s *Store) Ingest(ctx context.Context, tasks []IngestTask, opt IngestOption
 		defer ckptMu.Unlock()
 		return s.Checkpoint()
 	}
-	return IngestPool(ctx, opt.Parallelism, tasks, func(ctx context.Context, t IngestTask) error {
+	return IngestPool(ctx, opt.Parallelism, tasks, func(ctx context.Context, t IngestTask) (err error) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -95,13 +96,19 @@ func (s *Store) Ingest(ctx context.Context, tasks []IngestTask, opt IngestOption
 		if err != nil {
 			return err
 		}
+		completed := false
+		defer func() {
+			if !completed { // failed, or panicking on its way to IngestPool
+				err = errors.Join(err, w.Abort())
+			}
+		}()
 		if err := t.Emit(w); err != nil {
-			w.Close()
 			return fmt.Errorf("store: ingesting run %q: %w", t.RunID, err)
 		}
 		if err := w.Close(); err != nil {
 			return fmt.Errorf("store: ingesting run %q: %w", t.RunID, err)
 		}
+		completed = true
 		obsIngestRuns.Add(1)
 		return maybeCheckpoint()
 	})

@@ -7,7 +7,7 @@ import "repro/internal/obs"
 // store.probes mirrors the pre-existing QueryCount (every lineage-facing SQL
 // query), counted through countQuery below so both move together.
 // probe_batches counts batched multi-run probes (InputBindingsBatch calls
-// that issue a range scan); since every batch issues at least one query,
+// for at least one run); since every batch issues at least one query,
 // probes >= probe_batches always holds — an invariant the differential
 // tests assert.
 var (

@@ -72,8 +72,12 @@ func (s *Store) XformsByOutput(runID, proc, port string, idx value.Index) ([]Xfo
 }
 
 func (s *Store) xformsByOutputOn(r reader, runID, proc, port string, idx value.Index) ([]Xform, error) {
+	key, err := IdxKey(idx)
+	if err != nil {
+		return nil, err
+	}
 	out := []Xform{}
-	err := probeIdx(r, s.scans.outsPrefix, s.scans.outsExact, runID, proc, port, idx, func(row reldb.Row) error {
+	err = probeIdx(r, s.scans.outsPrefix, s.scans.outsExact, runID, proc, port, key, func(row reldb.Row) error {
 		b, err := rowBinding(runID, proc, port, row[outIdx], row[outCtx], row[outVal])
 		out = append(out, Xform{RunID: runID, EventID: row[outEvent].Int(), Proc: proc, Output: b})
 		return err
@@ -90,18 +94,14 @@ func (s *Store) xformsByOutputOn(r reader, runID, proc, port string, idx value.I
 }
 
 // probeIdx applies the granularity rules to a (run_id, proc, port, idx)
-// index: one prefix scan for events at idx or finer, then — while nothing
-// matched — exact scans of successively shorter prefixes of idx. Every scan
-// counts as one probe.
-func probeIdx(r reader, prefix, exact *reldb.Scan, runID, proc, port string, idx value.Index, each func(row reldb.Row) error) error {
-	key, err := IdxKey(idx)
-	if err != nil {
-		return err
-	}
+// index: one prefix scan for events at key's index or finer, then — while
+// nothing matched — exact scans of successively shorter prefixes of it. key
+// is an IdxKey; its fixed-width components make key[:n*(idxComponentWidth+1)]
+// the key of the index's first n components. Every scan counts as one probe.
+func probeIdx(r reader, prefix, exact *reldb.Scan, runID, proc, port, key string, each func(row reldb.Row) error) error {
 	vals := [4]reldb.Datum{reldb.S(runID), reldb.S(proc), reldb.S(port), reldb.S(key)}
 	sc := prefix
-	for n := len(idx); ; n-- {
-		countQuery(1)
+	for n := len(key); ; n -= idxComponentWidth + 1 {
 		matched := false
 		if err := r.scan(sc, vals[:], func(row reldb.Row) error {
 			matched = true
@@ -112,7 +112,7 @@ func probeIdx(r reader, prefix, exact *reldb.Scan, runID, proc, port string, idx
 		if matched || n == 0 {
 			return nil
 		}
-		sc, vals[3] = exact, reldb.S(MustIdxKey(idx.Truncate(n-1)))
+		sc, vals[3] = exact, reldb.S(key[:n-(idxComponentWidth+1)])
 	}
 }
 
@@ -127,7 +127,6 @@ func rowBinding(runID, proc, port string, key, ctx, valID reldb.Datum) (Binding,
 // order. That is the order xin_evt yields them in; should the planner have
 // had to walk something else (the index is quarantined), they are sorted.
 func (s *Store) eventInputs(r reader, runID string, eventID int64) ([]Binding, error) {
-	countQuery(1)
 	var posBuf [8]int64 // stack room for the usual handful of input ports
 	var out []Binding
 	poss, sorted := posBuf[:0], true
@@ -172,8 +171,19 @@ func (s *Store) InputBindings(runID, proc, port string, idx value.Index) ([]Bind
 }
 
 func (s *Store) inputBindingsOn(r reader, runID, proc, port string, idx value.Index) ([]Binding, error) {
+	key, err := IdxKey(idx)
+	if err != nil {
+		return nil, err
+	}
+	return s.inputBindingsKey(r, runID, proc, port, key)
+}
+
+// inputBindingsKey is InputBindings for an already encoded index key: the
+// scans of one run's xin_port range, shared by the single-run and batched
+// probes.
+func (s *Store) inputBindingsKey(r reader, runID, proc, port, key string) ([]Binding, error) {
 	var out []Binding
-	err := probeIdx(r, s.scans.insPrefix, s.scans.insExact, runID, proc, port, idx, func(row reldb.Row) error {
+	err := probeIdx(r, s.scans.insPrefix, s.scans.insExact, runID, proc, port, key, func(row reldb.Row) error {
 		b, err := rowBinding(runID, proc, port, row[inIdx], row[inCtx], row[inVal])
 		out = append(out, b)
 		return err
@@ -197,7 +207,6 @@ func (s *Store) XfersFrom(runID, proc, port string) ([]Xfer, error) {
 // xfersOn scans the run's xfer events by one endpoint (sc is xfersTo or
 // xfersFrom).
 func (s *Store) xfersOn(r reader, sc *reldb.Scan, runID, proc, port string) ([]Xfer, error) {
-	countQuery(1)
 	var out []Xfer
 	vals := [3]reldb.Datum{reldb.S(runID), reldb.S(proc), reldb.S(port)}
 	err := r.scan(sc, vals[:], func(row reldb.Row) error {
@@ -231,7 +240,6 @@ func (s *Store) valueOn(r reader, runID string, valID int64) (value.Value, error
 // payloadOn fetches one stored value's encoded payload: a point probe of
 // vals_id.
 func (s *Store) payloadOn(r reader, runID string, valID int64) (payload string, err error) {
-	countQuery(1)
 	found := false
 	vals := [2]reldb.Datum{reldb.S(runID), reldb.I(valID)}
 	err = r.scan(s.scans.value, vals[:], func(row reldb.Row) error {
@@ -264,9 +272,13 @@ func (s *Store) XformsByInput(runID, proc, port string, idx value.Index) ([]Forw
 }
 
 func (s *Store) xformsByInputOn(r reader, runID, proc, port string, idx value.Index) ([]ForwardXform, error) {
+	key, err := IdxKey(idx)
+	if err != nil {
+		return nil, err
+	}
 	out := []ForwardXform{}
 	seen := make(map[int64]bool)
-	err := probeIdx(r, s.scans.insPrefix, s.scans.insExact, runID, proc, port, idx, func(row reldb.Row) error {
+	err = probeIdx(r, s.scans.insPrefix, s.scans.insExact, runID, proc, port, key, func(row reldb.Row) error {
 		eventID := row[inEvent].Int()
 		if seen[eventID] {
 			return nil
@@ -288,7 +300,6 @@ func (s *Store) xformsByInputOn(r reader, runID, proc, port string, idx value.In
 }
 
 func (s *Store) eventOutputs(r reader, runID string, eventID int64) ([]Binding, error) {
-	countQuery(1)
 	var out []Binding
 	vals := [2]reldb.Datum{reldb.S(runID), reldb.I(eventID)}
 	err := r.scan(s.scans.eventOuts, vals[:], func(row reldb.Row) error {

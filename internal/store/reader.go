@@ -15,6 +15,7 @@ import (
 type reader struct {
 	db   *reldb.DB
 	snap *reldb.Snapshot // non-nil: read the pinned epoch instead of the latest
+	cur  *reldb.Cursor   // non-nil: scan through one batched call's cursor (see InputBindingsBatch)
 }
 
 func (s *Store) engine() reader { return reader{db: s.rdb} }
@@ -24,17 +25,24 @@ var errStop = errors.New("store: stop scan")
 
 // scan runs a prepared scan, handing each matching row to each by reference
 // (the row belongs to the engine: copy datums out, never keep or modify the
-// slice). The first error each returns ends the scan and is returned.
+// slice). The first error each returns ends the scan and is returned. Every
+// scan is one lineage-facing probe (countQuery).
 func (r reader) scan(sc *reldb.Scan, vals []reldb.Datum, each func(row reldb.Row) error) error {
+	if r.cur == nil {
+		countQuery(1) // a cursor's scans are counted when its batched call ends
+	}
 	var rowErr error
 	fn := func(_ int64, row reldb.Row) bool {
 		rowErr = each(row)
 		return rowErr == nil
 	}
 	var err error
-	if r.snap != nil {
+	switch {
+	case r.cur != nil:
+		err = r.cur.Scan(sc, vals, fn)
+	case r.snap != nil:
 		err = r.snap.Scan(sc, vals, fn)
-	} else {
+	default:
 		err = r.db.Scan(sc, vals, fn)
 	}
 	if err == nil && rowErr != errStop {
@@ -64,7 +72,7 @@ func (r reader) count(table string, preds []reldb.Pred) (int, error) {
 // declared in schema.
 type scans struct {
 	// (run_id, proc, port, idx) probes, idx by prefix or exactly: xout_port
-	// and xin_port.
+	// and xin_port (once per wanted run in InputBindingsBatch).
 	outsPrefix, outsExact *reldb.Scan
 	insPrefix, insExact   *reldb.Scan
 	// (run_id, event_id): one event's bindings. xin_evt also carries pos,
@@ -72,10 +80,6 @@ type scans struct {
 	eventIns, eventOuts *reldb.Scan
 	// (run_id, proc, port) transfers by sink and by source.
 	xfersTo, xfersFrom *reldb.Scan
-	// Batched (multi-run) probes: keyed by (proc, port, idx) without a run
-	// filter, they answer Q(P, X, p) for every run in one range scan over
-	// xin_ppi (see InputBindingsBatch).
-	insBatchPrefix, insBatchExact *reldb.Scan
 	// Values: one by (run_id, val_id), a window of one run's, and a window
 	// of every run's over vals_vid.
 	value, valsRange, valsRangeAll *reldb.Scan
@@ -92,18 +96,16 @@ func newScans() scans {
 	}
 	valWindow := []reldb.PredShape{{Col: "val_id", Op: reldb.OpGe}, {Col: "val_id", Op: reldb.OpLe}}
 	return scans{
-		outsPrefix:     reldb.NewScan("xform_out", on(reldb.OpPrefix, "run_id", "proc", "port", "idx")...),
-		outsExact:      reldb.NewScan("xform_out", on(reldb.OpEq, "run_id", "proc", "port", "idx")...),
-		insPrefix:      reldb.NewScan("xform_in", on(reldb.OpPrefix, "run_id", "proc", "port", "idx")...),
-		insExact:       reldb.NewScan("xform_in", on(reldb.OpEq, "run_id", "proc", "port", "idx")...),
-		eventIns:       reldb.NewScan("xform_in", on(reldb.OpEq, "run_id", "event_id")...),
-		eventOuts:      reldb.NewScan("xform_out", on(reldb.OpEq, "run_id", "event_id")...),
-		xfersTo:        reldb.NewScan("xfer", on(reldb.OpEq, "run_id", "to_proc", "to_port")...),
-		xfersFrom:      reldb.NewScan("xfer", on(reldb.OpEq, "run_id", "from_proc", "from_port")...),
-		insBatchPrefix: reldb.NewScan("xform_in", on(reldb.OpPrefix, "proc", "port", "idx")...),
-		insBatchExact:  reldb.NewScan("xform_in", on(reldb.OpEq, "proc", "port", "idx")...),
-		value:          reldb.NewScan("vals", on(reldb.OpEq, "run_id", "val_id")...),
-		valsRange:      reldb.NewScan("vals", append(on(reldb.OpEq, "run_id"), valWindow...)...),
-		valsRangeAll:   reldb.NewScan("vals", valWindow...),
+		outsPrefix:   reldb.NewScan("xform_out", on(reldb.OpPrefix, "run_id", "proc", "port", "idx")...),
+		outsExact:    reldb.NewScan("xform_out", on(reldb.OpEq, "run_id", "proc", "port", "idx")...),
+		insPrefix:    reldb.NewScan("xform_in", on(reldb.OpPrefix, "run_id", "proc", "port", "idx")...),
+		insExact:     reldb.NewScan("xform_in", on(reldb.OpEq, "run_id", "proc", "port", "idx")...),
+		eventIns:     reldb.NewScan("xform_in", on(reldb.OpEq, "run_id", "event_id")...),
+		eventOuts:    reldb.NewScan("xform_out", on(reldb.OpEq, "run_id", "event_id")...),
+		xfersTo:      reldb.NewScan("xfer", on(reldb.OpEq, "run_id", "to_proc", "to_port")...),
+		xfersFrom:    reldb.NewScan("xfer", on(reldb.OpEq, "run_id", "from_proc", "from_port")...),
+		value:        reldb.NewScan("vals", on(reldb.OpEq, "run_id", "val_id")...),
+		valsRange:    reldb.NewScan("vals", append(on(reldb.OpEq, "run_id"), valWindow...)...),
+		valsRangeAll: reldb.NewScan("vals", valWindow...),
 	}
 }

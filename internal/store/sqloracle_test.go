@@ -55,6 +55,13 @@ const (
 	oldTraceXfers     = `SELECT from_proc, from_port, from_idx, from_ctx, to_proc, to_port, to_idx, to_ctx, val_id FROM xfer WHERE run_id = ?`
 )
 
+// legacyCrossRunIndex is the cross-run index the old batch statements were
+// planned onto; the schema no longer declares it, and stores created before
+// that still hold it. A statement without ORDER BY answers in its plan's
+// order, so the oracle's store gets it back: the old batch statements then
+// read rows in the order they always did. No direct read plans onto it.
+const legacyCrossRunIndex = `CREATE INDEX xin_ppi ON xform_in (proc, port, idx)`
+
 // sqlOracle answers the store's reads the old way: *sql.DB for the latest
 // committed state, *sql.Tx for one pinned epoch.
 type sqlOracle struct {
@@ -503,6 +510,9 @@ func TestDirectReadsMatchSQL(t *testing.T) {
 	for trial, trials := 0, oracleTrials(4); trial < trials; trial++ {
 		s, err := OpenMemory()
 		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.DB().Exec(legacyCrossRunIndex); err != nil {
 			t.Fatal(err)
 		}
 		traces := oracleFixture(t, rng, trial)

@@ -76,7 +76,6 @@ var schema = []string{
 	`CREATE TABLE xform_in (run_id TEXT, event_id INT, pos INT, proc TEXT, port TEXT, idx TEXT, ctx INT, val_id INT)`,
 	`CREATE INDEX xin_evt ON xform_in (run_id, event_id, pos)`,
 	`CREATE INDEX xin_port ON xform_in (run_id, proc, port, idx)`,
-	`CREATE INDEX xin_ppi ON xform_in (proc, port, idx)`,
 
 	`CREATE TABLE xform_out (run_id TEXT, event_id INT, proc TEXT, port TEXT, idx TEXT, ctx INT, val_id INT)`,
 	`CREATE INDEX xout_port ON xform_out (run_id, proc, port, idx)`,
@@ -149,8 +148,11 @@ func (s *Store) ensureSchema() error {
 }
 
 // migrateIndexes backfills schema objects added after a store was created:
-// indexes (e.g. xin_ppi, which the batched multi-run probes rely on) and
-// whole tables (e.g. dlq, the streaming-ingest dead-letter queue).
+// indexes and whole tables (e.g. dlq, the streaming-ingest dead-letter
+// queue). It drops nothing. A durable store created while the schema still
+// declared the cross-run xin_ppi (proc, port, idx) index keeps it, maintained
+// on write but never planned onto: every prepared xform_in scan binds run_id,
+// and an index leading with run_id covers more of its columns.
 func (s *Store) migrateIndexes() error {
 	for _, stmt := range schema {
 		if !strings.HasPrefix(stmt, "CREATE INDEX") && !strings.HasPrefix(stmt, "CREATE TABLE") {

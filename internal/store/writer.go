@@ -212,6 +212,18 @@ func (w *RunWriter) Close() error {
 	return nil
 }
 
+// Abort discards a run that did not complete: its flushed rows go with the
+// run (DeleteRun), and its columnar write fence is lifted if Close did not
+// lift it, so a retry of the run ID starts from nothing.
+func (w *RunWriter) Abort() error {
+	_, err := w.s.DeleteRun(w.runID)
+	if !w.closed {
+		w.closed = true
+		w.s.endRunWrite(w.runID)
+	}
+	return err
+}
+
 // valID interns a port value within the run and returns its ID. Repeat
 // values hit one of the non-encoding caches; only first occurrences pay for
 // the canonical encoding and the buffered vals row.
